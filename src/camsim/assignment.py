@@ -4,10 +4,11 @@ An assignment gives every job type exactly one producer, who covers the
 whole system demand for that job. The net energy of an assignment is the
 sum over jobs of total demand times the producer's per-unit cost.
 
-Two routes are provided: an exhaustive enumeration over all
-``players ** jobs`` candidates (the oracle, guarded by a candidate cap)
-and a greedy-plus-local-search solver that scales past the cap. Both are
-deterministic; ties break lexicographically by (job_id, player_id).
+That sum separates per job, so the exact optimum gives each job to its
+cheapest producer: the row-wise argmin of ``cost_matrix``, ties to the
+lowest player_id. ``brute_force_min_assignment`` enumerates all
+``players ** jobs`` candidates under a cap and is kept as the oracle
+that the per-job solver is tested against.
 """
 
 from __future__ import annotations
@@ -94,39 +95,21 @@ def brute_force_min_assignment(
     return best, float(total.reshape(-1)[flat])
 
 
-def _greedy(config: EconomyConfig) -> Assignment:
-    players = config.player_ids()
-    mat = cost_matrix(config)
-    return Assignment(
-        {jid: players[int(np.argmin(mat[r]))] for r, jid in enumerate(config.job_ids())}
-    )
-
-
 def optimal_assignment(config: EconomyConfig) -> tuple[Assignment, float]:
-    """Minimize net energy: exact within the enumeration cap, local search above.
+    """Minimize net energy exactly: each job goes to its cheapest producer.
 
-    Above the cap: greedy initialization (each job to its cheapest producer)
-    then single-job reassignment moves until none improves.
+    argmin's first-occurrence rule breaks ties toward the lowest player_id.
+    The energy is summed in job order, as the oracle's chained outer sum
+    is, and rounding is monotone, so both report the same float.
     """
     jobs = config.job_ids()
     players = config.player_ids()
     if not jobs:
         return Assignment({}), 0.0
-    if len(players) ** len(jobs) <= ENUMERATION_CAP:
-        return brute_force_min_assignment(config)
-    mat = cost_matrix(config)
-    current = {jid: players[int(np.argmin(mat[r]))] for r, jid in enumerate(jobs)}
-    p_index = {pid: c for c, pid in enumerate(players)}
-    improved = True
-    while improved:
-        improved = False
-        for r, jid in enumerate(jobs):
-            here = mat[r, p_index[current[jid]]]
-            best_c = int(np.argmin(mat[r]))
-            if mat[r, best_c] < here:
-                current[jid] = players[best_c]
-                improved = True
-    assignment = Assignment(dict(current))
+    if not players:
+        raise ValueError("economy has no players")
+    choice = np.argmin(cost_matrix(config), axis=1)
+    assignment = Assignment({jid: players[c] for jid, c in zip(jobs, choice)})
     return assignment, net_energy(assignment, config)
 
 

@@ -82,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         sc = replace(sc, master_seed=args.seed)
 
     try:
-        result = run_scenario(sc, args.out, seed_override=args.seed)
+        result = run_scenario(sc, args.out)
     except CapacityError as exc:
         json.dump({"error": "capacity", "message": str(exc)}, sys.stderr)
         print(file=sys.stderr)

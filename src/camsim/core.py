@@ -38,18 +38,15 @@ class JobSpec:
 
 @dataclass
 class Player:
-    """A market participant with job-specific efficiencies and ledgers.
+    """A market participant with job-specific efficiencies.
 
-    ``energy_spent`` only ever grows; ``energy_saved`` accumulates the
-    money-equivalent energy a buyer avoided by trading instead of
-    self-producing.
+    ``money`` is the starting balance; ``None`` means the market's
+    endowment. The running ledgers live in ``market.MarketState``.
     """
 
     player_id: str
     efficiencies: dict[str, float]
-    money: float = 0.0
-    energy_spent: float = 0.0
-    energy_saved: float = 0.0
+    money: float | None = None
 
     def __post_init__(self) -> None:
         for job_id, eff in self.efficiencies.items():

@@ -87,12 +87,12 @@ class MarketState:
         ids = config.player_ids()
         money = {}
         for pid in ids:
-            p = config.player(pid)
-            money[pid] = p.money if p.money else initial_money
+            start = config.player(pid).money
+            money[pid] = initial_money if start is None else start
         return cls(
             money=money,
-            energy_spent={pid: config.player(pid).energy_spent for pid in ids},
-            energy_saved={pid: config.player(pid).energy_saved for pid in ids},
+            energy_spent=dict.fromkeys(ids, 0.0),
+            energy_saved=dict.fromkeys(ids, 0.0),
         )
 
     def copy(self) -> "MarketState":
@@ -101,7 +101,7 @@ class MarketState:
         )
 
 
-def post_offers(config: EconomyConfig, state: MarketState | None = None) -> list[Offer]:
+def post_offers(config: EconomyConfig) -> list[Offer]:
     """One offer per (player, job) with positive expected profit.
 
     Sellers price against the density of everyone else's break-evens; a
@@ -132,7 +132,6 @@ def execute_round(
     config: EconomyConfig,
     state: MarketState,
     offers: list[Offer] | None = None,
-    rng_seed: int = 0,
     record_detail: bool = True,
 ) -> tuple[MarketState, RoundReport]:
     """Run one simultaneous-posting, simultaneous-buying round.
@@ -141,13 +140,11 @@ def execute_round(
     offer from another player (ties to the lowest seller id), buy on a
     strict money improvement, and fall back to self-production otherwise.
     A buyer who cannot afford the purchase self-produces and is flagged.
-    ``rng_seed`` is reserved for stream derivation; the round itself draws
-    no randomness. With record_detail=False only the ledger totals are
-    kept (trade/self-production lists stay empty).
+    The round draws no randomness. With record_detail=False only the
+    ledger totals are kept (trade/self-production lists stay empty).
     """
-    del rng_seed
     if offers is None:
-        offers = post_offers(config, state)
+        offers = post_offers(config)
     # Equal-priced competitors are frequent (candidate postings sit on the
     # same density atoms); the cheaper producer sustains the price and wins
     # the tie, id only as the final disambiguator.
@@ -281,7 +278,7 @@ def run_market(
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     state = MarketState.from_config(config, initial_money)
-    offers = post_offers(config, state)
+    offers = post_offers(config)
     reports: list[RoundReport] = []
     for _ in range(rounds):
         state, report = execute_round(

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .analysis import WealthSnapshot
+from .analysis import WealthSnapshot, system_savings_series
 from .assignment import optimal_assignment
 from .core import EconomyConfig, JobSpec, Player, autarky_energy, break_even_price
 from .market import (
@@ -78,6 +78,11 @@ def _check_keys(mapping: dict, allowed: set[str], where: str, errors: list[str])
     for key in mapping:
         if key not in allowed:
             errors.append(f"{where}: unknown key {key!r}")
+
+
+def _is_int(x: Any) -> bool:
+    """YAML booleans load as Python ints; a count, seed or unit is never one."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _require(mapping: dict, key: str, where: str, errors: list[str]) -> Any:
@@ -148,12 +153,13 @@ def parse_mapping(raw: Any, source: str = "<config>") -> ScenarioConfig:
                     if effs is not None and not isinstance(effs, dict):
                         errors.append(f"{where}: efficiencies must be a mapping")
                     continue
+                money = item.get("money")
                 try:
                     players.append(
                         Player(
                             str(pid),
                             {str(j): float(v) for j, v in effs.items()},
-                            money=float(item.get("money", 0.0)),
+                            money=None if money is None else float(money),
                         )
                     )
                 except (TypeError, ValueError) as exc:
@@ -175,7 +181,7 @@ def parse_mapping(raw: Any, source: str = "<config>") -> ScenarioConfig:
                     f"{where}: efficiency_distribution must be one of {DISTRIBUTIONS}"
                 )
             elif count is not None:
-                if not isinstance(count, int) or count < 1:
+                if not _is_int(count) or count < 1:
                     errors.append(f"{where}: count must be a positive integer")
                 else:
                     required = {
@@ -216,17 +222,17 @@ def parse_mapping(raw: Any, source: str = "<config>") -> ScenarioConfig:
     initial_money = _positive("initial_money", DEFAULT_ENDOWMENT)
 
     rounds = raw.get("rounds")
-    if not isinstance(rounds, int) or rounds < 1:
+    if not _is_int(rounds) or rounds < 1:
         errors.append(f"{source}: rounds must be an integer >= 1")
         rounds = 1
     master_seed = raw.get("master_seed")
-    if not isinstance(master_seed, int) or master_seed < 0:
+    if not _is_int(master_seed) or master_seed < 0:
         errors.append(f"{source}: master_seed must be a nonnegative integer")
         master_seed = 0
 
     demand: int | dict[tuple[str, str], int] = 1
     raw_demand = raw.get("demand", 1)
-    if isinstance(raw_demand, int) and not isinstance(raw_demand, bool):
+    if _is_int(raw_demand):
         if raw_demand < 0:
             errors.append(f"{source}: demand must be >= 0")
         else:
@@ -238,7 +244,7 @@ def parse_mapping(raw: Any, source: str = "<config>") -> ScenarioConfig:
                 errors.append(f"{source}: demand[{pid!r}] must be a mapping")
                 continue
             for jid, units in per_job.items():
-                if not isinstance(units, int) or units < 0:
+                if not _is_int(units) or units < 0:
                     errors.append(
                         f"{source}: demand[{pid!r}][{jid!r}] must be a nonnegative integer"
                     )
@@ -321,7 +327,8 @@ def to_mapping(sc: ScenarioConfig) -> dict:
     }
     if sc.players is not None:
         out["players"] = [
-            {"player_id": p.player_id, "efficiencies": dict(p.efficiencies), "money": p.money}
+            {"player_id": p.player_id, "efficiencies": dict(p.efficiencies)}
+            | ({} if p.money is None else {"money": p.money})
             for p in sc.players
         ]
     if sc.population is not None:
@@ -359,13 +366,14 @@ def _draw_efficiencies(
     return p["minimum"] * (1.0 + rng.pareto(p["alpha"], size=(spec.count, n_jobs)))
 
 
-def build_economy(sc: ScenarioConfig, seed_override: int | None = None) -> EconomyConfig:
+def build_economy(sc: ScenarioConfig) -> EconomyConfig:
     """Materialize the economy, drawing any generated population."""
-    seed = sc.master_seed if seed_override is None else seed_override
     if sc.players is not None:
         players = sc.players
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        rng = np.random.default_rng(
+            np.random.SeedSequence(sc.master_seed, spawn_key=(0,))
+        )
         job_ids = sorted(j.job_id for j in sc.jobs)
         eff = _draw_efficiencies(sc.population, len(job_ids), rng)
         width = max(4, len(str(sc.population.count)))
@@ -413,9 +421,7 @@ def export_csv(rows: list[tuple], header: list[str], path: str | Path) -> Path:
     return path
 
 
-def run_scenario(
-    sc: ScenarioConfig, out_dir: str | Path, seed_override: int | None = None
-) -> dict[str, Any]:
+def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> dict[str, Any]:
     """Execute a scenario end to end and write every selected output.
 
     Returns a summary with the paths written, per-round reports, the final
@@ -424,7 +430,7 @@ def run_scenario(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = build_economy(sc, seed_override)
+    config = build_economy(sc)
     price_dp = _decimals(sc.price_quantum)
 
     def fp(x: float) -> str:  # price-valued column
@@ -437,7 +443,7 @@ def run_scenario(
     autarky = autarky_energy(config)
 
     state = MarketState.from_config(config, sc.initial_money)
-    offers = post_offers(config, state)
+    offers = post_offers(config)
     reports: list[RoundReport] = []
     snapshots: list[WealthSnapshot] = []
     spent_by_round: list[dict[str, float]] = []
@@ -509,15 +515,13 @@ def run_scenario(
     if "savings" in sc.outputs:
         rows = [
             (
-                str(rep.round),
+                str(rnd),
                 fe(rep.autarky_energy),
                 fe(rep.energy_expended_total),
-                fe(rep.autarky_energy - rep.energy_expended_total),
-                f"{(rep.autarky_energy - rep.energy_expended_total) / rep.autarky_energy:.9f}"
-                if rep.autarky_energy > 0
-                else "0.000000000",
+                fe(saved),
+                fe(frac),
             )
-            for rep in reports
+            for rep, (rnd, saved, frac) in zip(reports, system_savings_series(reports))
         ]
         paths["savings"] = export_csv(
             rows,
@@ -540,9 +544,7 @@ def run_scenario(
             trace = simulate_walk(
                 sc.walk.params,
                 sc.walk.steps,
-                derive_trace_seed(
-                    sc.master_seed if seed_override is None else seed_override, i
-                ),
+                derive_trace_seed(sc.master_seed, i),
             )
             for step, value in enumerate(trace.values):
                 rows.append((str(i), str(step), fe(float(value))))

@@ -30,6 +30,20 @@ def random_economy(rng, n_players, n_jobs, eff_low=0.5, eff_high=2.0):
     return EconomyConfig(players=players, jobs=jobs, demand=demand)
 
 
+def dyadic_economy(rng, n_players, n_jobs):
+    """Powers-of-two efficiencies and integer workloads: every energy sum is
+    exact and ties between producers are common."""
+    jobs = [JobSpec(f"j{k}", float(rng.integers(1, 9))) for k in range(n_jobs)]
+    players = [
+        Player(f"p{i}", {j.job_id: float(rng.choice([0.5, 1.0, 2.0, 4.0])) for j in jobs})
+        for i in range(n_players)
+    ]
+    demand = {
+        (p.player_id, j.job_id): int(rng.integers(0, 4)) for p in players for j in jobs
+    }
+    return EconomyConfig(players=players, jobs=jobs, demand=demand)
+
+
 def test_net_energy_golden(golden):
     assert net_energy(Assignment({"x": "P1", "y": "P2"}), golden) == 30
     assert net_energy(Assignment({"x": "P3", "y": "P3"}), golden) == 60
@@ -93,6 +107,13 @@ def test_optimal_oracle_equivalence_random():
         _, e_opt = optimal_assignment(cfg)
         _, e_oracle = brute_force_min_assignment(cfg)
         assert e_opt == e_oracle
+    # With exact sums the oracle's lexicographic tie rule is the per-job one,
+    # so the chosen producers must agree too.
+    for _ in range(100):
+        cfg = dyadic_economy(
+            rng, n_players=int(rng.integers(1, 7)), n_jobs=int(rng.integers(1, 7))
+        )
+        assert optimal_assignment(cfg) == brute_force_min_assignment(cfg)
 
 
 def test_optimal_never_above_autarky_with_dominant_producers():
@@ -109,12 +130,11 @@ def test_optimal_large_instance_is_stationary():
     cfg = random_economy(rng, n_players=50, n_jobs=20)
     best, energy = optimal_assignment(cfg)
     assert stationarity_check(best, cfg)
-    # local search never worsens the greedy start
-    greedy_energy = sum(
+    per_job_minimum = sum(
         cfg.total_demand(jid) * min(cfg.cost(pid, jid) for pid in cfg.player_ids())
         for jid in cfg.job_ids()
     )
-    assert energy <= greedy_energy + 1e-9
+    assert energy == per_job_minimum
 
 
 def test_stationarity_golden(golden):

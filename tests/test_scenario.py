@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from camsim import ConfigError, load_config, run_scenario
+from camsim import ConfigError, MarketState, load_config, run_scenario
 from camsim.cli import main
 from camsim.scenario import (
     artifact_digests,
@@ -63,6 +63,47 @@ def test_unknown_key_rejected_everywhere():
 def test_config_round_trip():
     sc = load_config(DATA / "golden.yaml")
     assert parse_mapping(to_mapping(sc)) == sc
+
+
+def test_money_omitted_is_endowment_and_zero_is_zero():
+    raw = yaml.safe_load((DATA / "golden.yaml").read_text())
+    raw["initial_money"] = 50.0
+    raw["players"][2]["money"] = 0.0
+    sc = parse_mapping(raw)
+    assert [p.money for p in sc.players] == [None, None, 0.0]
+    state = MarketState.from_config(build_economy(sc), sc.initial_money)
+    assert state.money == {"P1": 50.0, "P2": 50.0, "P3": 0.0}
+
+
+def test_to_mapping_omits_unset_money():
+    raw = yaml.safe_load((DATA / "golden.yaml").read_text())
+    raw["players"][2]["money"] = 0.0
+    sc = parse_mapping(raw)
+    assert ["money" in p for p in to_mapping(sc)["players"]] == [False, False, True]
+    assert parse_mapping(to_mapping(sc)) == sc
+
+
+@pytest.mark.parametrize(
+    "snippet, message",
+    [
+        ("rounds: true", "rounds must be"),
+        ("master_seed: false", "master_seed must be"),
+        (
+            "population: {count: true, efficiency_distribution: uniform,"
+            " params: {low: 0.5, high: 2.0}}",
+            "count must be",
+        ),
+        ("demand: {P1: {x: true}}", r"demand\['P1'\]\['x'\] must be"),
+    ],
+    ids=["rounds", "master_seed", "population.count", "demand.units"],
+)
+def test_yaml_boolean_is_not_an_integer(snippet, message):
+    raw = yaml.safe_load((DATA / "golden.yaml").read_text())
+    raw.update(yaml.safe_load(snippet))
+    if "population" in raw:
+        del raw["players"]
+    with pytest.raises(ConfigError, match=message):
+        parse_mapping(raw)
 
 
 def test_generated_population_round_trip(tmp_path):
