@@ -147,9 +147,7 @@ def test_insufficient_money_forces_self_production(golden):
 
 def test_explicit_zero_money_starts_at_zero(golden):
     p1, p2, p3 = golden.players
-    cfg = dataclasses.replace(
-        golden, players=[p1, p2, Player("P3", dict(p3.efficiencies), money=0.0)]
-    )
+    cfg = dataclasses.replace(golden, players=[p1, p2, dataclasses.replace(p3, money=0.0)])
     state = MarketState.from_config(cfg, initial_money=100.0)
     assert state.money == {"P1": 100.0, "P2": 100.0, "P3": 0.0}
     _, report = execute_round(cfg, state)
