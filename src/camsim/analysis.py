@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .core import CapacityError, EconomyConfig
 from .market import RoundReport
@@ -73,10 +72,18 @@ def best_margins(config: EconomyConfig) -> dict[str, float]:
     }
 
 
+def _ranks(x: list[float]) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, tie_group, sizes = np.unique(x, return_inverse=True, return_counts=True)
+    last = np.cumsum(sizes)
+    return (last - (sizes - 1) / 2)[tie_group]
+
+
 def efficiency_wealth_correlation(
     snapshot: WealthSnapshot, config: EconomyConfig
 ) -> float:
-    """Spearman rank correlation between best margin and wealth."""
+    """Spearman rank correlation between best margin and wealth: the Pearson
+    correlation of their ranks."""
     players = config.player_ids()
     if len(players) < 3:
         raise CapacityError("need at least 3 players for a rank correlation")
@@ -85,10 +92,13 @@ def efficiency_wealth_correlation(
     w = [snapshot.wealth_by_player[pid] for pid in players]
     if len(set(m)) == 1:
         raise ValueError("all margins identical; efficiency ranks undefined")
-    rho = stats.spearmanr(m, w).statistic
-    if math.isnan(rho):
+    a, b = (_ranks(x) for x in (m, w))
+    a -= a.mean()
+    b -= b.mean()
+    scale = math.sqrt(float(a @ a) * float(b @ b))
+    if scale == 0.0:
         raise ValueError("rank correlation undefined for this snapshot")
-    return float(rho)
+    return float(a @ b) / scale
 
 
 def system_savings_series(

@@ -71,6 +71,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         sc = load_config(args.config)
+        if args.seed is not None:
+            sc = replace(sc, master_seed=args.seed)
+        result = run_scenario(sc, args.out)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -78,11 +81,6 @@ def main(argv: list[str] | None = None) -> int:
         for err in exc.errors:
             print(err, file=sys.stderr)
         return 2
-    if args.seed is not None:
-        sc = replace(sc, master_seed=args.seed)
-
-    try:
-        result = run_scenario(sc, args.out)
     except CapacityError as exc:
         json.dump({"error": "capacity", "message": str(exc)}, sys.stderr)
         print(file=sys.stderr)

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import decimal
 import hashlib
-from dataclasses import dataclass
+import math
+from collections.abc import Callable, Sequence
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 import yaml
 
-from .analysis import WealthSnapshot, system_savings_series
+from .analysis import system_savings_series
 from .assignment import optimal_assignment
 from .core import EconomyConfig, JobSpec, Player, autarky_energy, break_even_price
 from .market import (
@@ -32,10 +34,6 @@ from .market import (
 )
 from .pricing import build_price_density
 from .walk import WalkParams, derive_trace_seed, simulate_walk
-
-OUTPUT_KINDS = ("trades", "wealth", "savings", "density", "walk")
-DISTRIBUTIONS = ("uniform", "log-normal", "pareto")
-
 
 class ConfigError(Exception):
     """Carries every validation problem found in a scenario file."""
@@ -66,7 +64,7 @@ class ScenarioConfig:
     price_quantum: float
     rounds: int
     master_seed: int
-    outputs: list[str]
+    outputs: list[str] = field(default_factory=list)
     players: list[Player] | None = None
     population: PopulationSpec | None = None
     demand: int | dict[tuple[str, str], int] = 1
@@ -74,232 +72,220 @@ class ScenarioConfig:
     walk: WalkRun | None = None
 
 
-def _check_keys(mapping: dict, allowed: set[str], where: str, errors: list[str]) -> None:
-    for key in mapping:
-        if key not in allowed:
-            errors.append(f"{where}: unknown key {key!r}")
+# A rule returns the checked value of one config entry. It raises ValueError
+# for one problem, or ConfigError for several, each worded as the rest of the
+# sentence that follows the entry's name (" must be ...", ": unknown key ...").
+Rule = Callable[[Any], Any]
 
 
-def _is_int(x: Any) -> bool:
-    """YAML booleans load as Python ints; a count, seed or unit is never one."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def _apply(rule: Rule, value: Any, name: str, errors: list[str]) -> Any:
+    """rule(value), or None with each problem appended to errors under name."""
+    try:
+        return rule(value)
+    except ValueError as exc:
+        errors.append(f"{name}{exc}")
+    except ConfigError as exc:
+        errors += [f"{name}{e}" for e in exc.errors]
+    return None
 
 
-def _require(mapping: dict, key: str, where: str, errors: list[str]) -> Any:
-    if key not in mapping:
-        errors.append(f"{where}: missing required key {key!r}")
-        return None
-    return mapping[key]
+def _integer(low: int) -> Rule:
+    """An integer >= low. YAML booleans load as ints; a count is never one."""
+
+    def rule(x: Any) -> int:
+        if isinstance(x, bool) or not isinstance(x, int) or x < low:
+            raise ValueError(f" must be an integer >= {low}")
+        return x
+
+    return rule
+
+
+def _number(bound: str = "", holds: Callable[[float], bool] = lambda v: True) -> Rule:
+    """A finite number for which ``holds`` is true; ``bound`` says so in words.
+
+    Numeric strings count, because YAML 1.1 loads ``1e9`` as a string;
+    booleans do not.
+    """
+
+    def rule(x: Any) -> float:
+        try:
+            v = math.nan if isinstance(x, bool) else float(x)
+        except (TypeError, ValueError, OverflowError):
+            v = math.nan
+        if not (math.isfinite(v) and holds(v)):
+            raise ValueError(f" must be a finite number{bound}")
+        return v
+
+    return rule
+
+
+_POSITIVE = _number(" > 0", lambda v: v > 0)
+_NONNEGATIVE = _number(" >= 0", lambda v: v >= 0)
+
+
+def _mapping(rules: dict[str, Rule], required=(), build: Callable = dict) -> Rule:
+    """A mapping with only the keys of ``rules`` and every ``required`` one.
+
+    Each value is checked by its key's rule, and ``build`` gets the checked
+    values as keyword arguments.
+    """
+
+    def rule(x: Any) -> Any:
+        if not isinstance(x, dict):
+            raise ValueError(" must be a mapping")
+        errors = [f": unknown key {key!r}" for key in x if key not in rules]
+        errors += [f": missing required key {key!r}" for key in required if key not in x]
+        out = {k: _apply(rules[k], v, f": {k}", errors) for k, v in x.items() if k in rules}
+        if errors:
+            raise ConfigError(errors)
+        return build(**out)
+
+    return rule
+
+
+def _list_of(rule: Rule) -> Rule:
+    def check(x: Any) -> list:
+        if not isinstance(x, list):
+            raise ValueError(" must be a list")
+        errors: list[str] = []
+        out = [_apply(rule, item, f"[{n}]", errors) for n, item in enumerate(x)]
+        if errors:
+            raise ConfigError(errors)
+        return out
+
+    return check
+
+
+def _by_id(rule: Rule) -> Rule:
+    """A mapping from player or job ids to values that each pass ``rule``."""
+
+    def check(x: Any) -> dict[str, Any]:
+        if not isinstance(x, dict):
+            raise ValueError(" must be a mapping")
+        errors: list[str] = []
+        out = {str(k): _apply(rule, v, f"[{k!r}]", errors) for k, v in x.items()}
+        if errors:
+            raise ConfigError(errors)
+        return out
+
+    return check
+
+
+def _demand(x: Any) -> int | dict[tuple[str, str], int]:
+    """Units per round: one count for all (player, job), or {player: {job: units}}."""
+    if not isinstance(x, dict):
+        return _integer(0)(x)
+    rows = _by_id(_by_id(_integer(0)))(x)
+    return {(pid, jid): units for pid, row in rows.items() for jid, units in row.items()}
+
+
+def _outputs(x: Any) -> list[str]:
+    if not isinstance(x, list) or any(o not in OUTPUT_KINDS for o in x):
+        raise ValueError(f" must be a list drawn from {OUTPUT_KINDS}")
+    return list(x)
+
+
+# Each distribution's parameters, and each parameter's rule: every drawn
+# efficiency must be finite and > 0.
+POPULATION_PARAMS = {
+    "uniform": ("low", "high"),
+    "log-normal": ("mu", "sigma"),
+    "pareto": ("alpha", "minimum"),
+}
+DISTRIBUTIONS = tuple(POPULATION_PARAMS)
+PARAM_RULES = {
+    "low": _POSITIVE,
+    "high": _POSITIVE,
+    "mu": _number(),
+    "sigma": _NONNEGATIVE,
+    "alpha": _POSITIVE,
+    "minimum": _POSITIVE,
+}
+
+
+def _population(
+    count: int, efficiency_distribution: str, params: dict[str, float]
+) -> PopulationSpec:
+    if efficiency_distribution not in DISTRIBUTIONS:
+        raise ValueError(f": efficiency_distribution must be one of {DISTRIBUTIONS}")
+    names = POPULATION_PARAMS[efficiency_distribution]
+    if set(params) != set(names):
+        raise ValueError(f": params for {efficiency_distribution} must be {sorted(names)}")
+    return PopulationSpec(count, efficiency_distribution, params)
+
+
+def _walk(
+    true_price: float, eta: float, sigma: float, steps: int = 1000, traces: int = 1
+) -> WalkRun:
+    return WalkRun(WalkParams(true_price, eta, sigma), steps, traces)
+
+
+def _scenario(**fields: Any) -> ScenarioConfig:
+    if ("players" in fields) == ("population" in fields):
+        raise ValueError(": give exactly one of 'players' or 'population'")
+    if "walk" in fields.get("outputs", ()) and "walk" not in fields:
+        raise ValueError(": outputs include 'walk' but no walk block given")
+    return ScenarioConfig(**fields)
+
+
+SCENARIO_RULE = _mapping(
+    {
+        "jobs": _list_of(
+            _mapping(
+                {"job_id": str, "workload": _NONNEGATIVE}, ("job_id", "workload"), JobSpec
+            )
+        ),
+        "players": _list_of(
+            _mapping(
+                {
+                    "player_id": str,
+                    "efficiencies": _by_id(_POSITIVE),
+                    "money": _NONNEGATIVE,
+                },
+                ("player_id", "efficiencies"),
+                Player,
+            )
+        ),
+        "population": _mapping(
+            {
+                "count": _integer(1),
+                "efficiency_distribution": str,
+                "params": _mapping(PARAM_RULES),
+            },
+            ("count", "efficiency_distribution", "params"),
+            _population,
+        ),
+        "conversion": _POSITIVE,
+        "price_quantum": _POSITIVE,
+        "demand": _demand,
+        "rounds": _integer(1),
+        "master_seed": _integer(0),
+        "initial_money": _POSITIVE,
+        "outputs": _outputs,
+        "walk": _mapping(
+            {
+                "true_price": _NONNEGATIVE,
+                "eta": _number(" in (0, 2)", lambda v: 0 < v < 2),
+                "sigma": _NONNEGATIVE,
+                "steps": _integer(1),
+                "traces": _integer(1),
+            },
+            ("true_price", "eta", "sigma"),
+            _walk,
+        ),
+    },
+    ("jobs", "conversion", "price_quantum", "rounds", "master_seed"),
+    _scenario,
+)
 
 
 def parse_mapping(raw: Any, source: str = "<config>") -> ScenarioConfig:
     """Validate a parsed YAML tree; raises ConfigError with every problem."""
     errors: list[str] = []
-    if not isinstance(raw, dict):
-        raise ConfigError([f"{source}: top level must be a mapping"])
-    _check_keys(
-        raw,
-        {
-            "jobs",
-            "players",
-            "population",
-            "conversion",
-            "price_quantum",
-            "demand",
-            "rounds",
-            "master_seed",
-            "initial_money",
-            "outputs",
-            "walk",
-        },
-        source,
-        errors,
-    )
-
-    jobs: list[JobSpec] = []
-    raw_jobs = _require(raw, "jobs", source, errors)
-    if isinstance(raw_jobs, list):
-        for n, item in enumerate(raw_jobs):
-            where = f"{source}: jobs[{n}]"
-            if not isinstance(item, dict):
-                errors.append(f"{where}: must be a mapping")
-                continue
-            _check_keys(item, {"job_id", "workload"}, where, errors)
-            jid = _require(item, "job_id", where, errors)
-            w = _require(item, "workload", where, errors)
-            if jid is not None and w is not None:
-                try:
-                    jobs.append(JobSpec(str(jid), float(w)))
-                except (TypeError, ValueError) as exc:
-                    errors.append(f"{where}: {exc}")
-    elif raw_jobs is not None:
-        errors.append(f"{source}: jobs must be a list")
-
-    players: list[Player] | None = None
-    if "players" in raw:
-        players = []
-        if not isinstance(raw["players"], list):
-            errors.append(f"{source}: players must be a list")
-        else:
-            for n, item in enumerate(raw["players"]):
-                where = f"{source}: players[{n}]"
-                if not isinstance(item, dict):
-                    errors.append(f"{where}: must be a mapping")
-                    continue
-                _check_keys(item, {"player_id", "efficiencies", "money"}, where, errors)
-                pid = _require(item, "player_id", where, errors)
-                effs = _require(item, "efficiencies", where, errors)
-                if pid is None or not isinstance(effs, dict):
-                    if effs is not None and not isinstance(effs, dict):
-                        errors.append(f"{where}: efficiencies must be a mapping")
-                    continue
-                money = item.get("money")
-                try:
-                    players.append(
-                        Player(
-                            str(pid),
-                            {str(j): float(v) for j, v in effs.items()},
-                            money=None if money is None else float(money),
-                        )
-                    )
-                except (TypeError, ValueError) as exc:
-                    errors.append(f"{where}: {exc}")
-
-    population: PopulationSpec | None = None
-    if "population" in raw:
-        where = f"{source}: population"
-        pop = raw["population"]
-        if not isinstance(pop, dict):
-            errors.append(f"{where}: must be a mapping")
-        else:
-            _check_keys(pop, {"count", "efficiency_distribution", "params"}, where, errors)
-            count = _require(pop, "count", where, errors)
-            dist = _require(pop, "efficiency_distribution", where, errors)
-            params = pop.get("params", {})
-            if dist is not None and dist not in DISTRIBUTIONS:
-                errors.append(
-                    f"{where}: efficiency_distribution must be one of {DISTRIBUTIONS}"
-                )
-            elif count is not None:
-                if not _is_int(count) or count < 1:
-                    errors.append(f"{where}: count must be a positive integer")
-                else:
-                    required = {
-                        "uniform": {"low", "high"},
-                        "log-normal": {"mu", "sigma"},
-                        "pareto": {"alpha", "minimum"},
-                    }[dist]
-                    if not isinstance(params, dict) or set(params) != required:
-                        errors.append(f"{where}: params for {dist} must be {sorted(required)}")
-                    else:
-                        population = PopulationSpec(
-                            count, dist, {k: float(v) for k, v in params.items()}
-                        )
-
-    if players is None and population is None:
-        errors.append(f"{source}: one of 'players' or 'population' is required")
-    if players is not None and population is not None:
-        errors.append(f"{source}: 'players' and 'population' are mutually exclusive")
-
-    def _positive(key: str, default: float | None = None) -> float:
-        if key not in raw:
-            if default is not None:
-                return default
-            errors.append(f"{source}: missing required key {key!r}")
-            return 1.0
-        try:
-            val = float(raw[key])
-        except (TypeError, ValueError):
-            errors.append(f"{source}: {key} must be a number")
-            return 1.0
-        if not val > 0:
-            errors.append(f"{source}: {key} must be > 0")
-            return 1.0
-        return val
-
-    conversion = _positive("conversion")
-    price_quantum = _positive("price_quantum")
-    initial_money = _positive("initial_money", DEFAULT_ENDOWMENT)
-
-    rounds = raw.get("rounds")
-    if not _is_int(rounds) or rounds < 1:
-        errors.append(f"{source}: rounds must be an integer >= 1")
-        rounds = 1
-    master_seed = raw.get("master_seed")
-    if not _is_int(master_seed) or master_seed < 0:
-        errors.append(f"{source}: master_seed must be a nonnegative integer")
-        master_seed = 0
-
-    demand: int | dict[tuple[str, str], int] = 1
-    raw_demand = raw.get("demand", 1)
-    if _is_int(raw_demand):
-        if raw_demand < 0:
-            errors.append(f"{source}: demand must be >= 0")
-        else:
-            demand = raw_demand
-    elif isinstance(raw_demand, dict):
-        matrix: dict[tuple[str, str], int] = {}
-        for pid, per_job in raw_demand.items():
-            if not isinstance(per_job, dict):
-                errors.append(f"{source}: demand[{pid!r}] must be a mapping")
-                continue
-            for jid, units in per_job.items():
-                if not _is_int(units) or units < 0:
-                    errors.append(
-                        f"{source}: demand[{pid!r}][{jid!r}] must be a nonnegative integer"
-                    )
-                else:
-                    matrix[(str(pid), str(jid))] = units
-        demand = matrix
-    else:
-        errors.append(f"{source}: demand must be an integer or a nested mapping")
-
-    outputs = raw.get("outputs", [])
-    if not isinstance(outputs, list) or any(o not in OUTPUT_KINDS for o in outputs):
-        errors.append(f"{source}: outputs must be a list drawn from {OUTPUT_KINDS}")
-        outputs = []
-
-    walk: WalkRun | None = None
-    if "walk" in raw:
-        where = f"{source}: walk"
-        w = raw["walk"]
-        if not isinstance(w, dict):
-            errors.append(f"{where}: must be a mapping")
-        else:
-            _check_keys(w, {"true_price", "eta", "sigma", "steps", "traces"}, where, errors)
-            try:
-                walk = WalkRun(
-                    params=WalkParams(
-                        true_price=float(w["true_price"]),
-                        eta=float(w["eta"]),
-                        sigma=float(w["sigma"]),
-                    ),
-                    steps=int(w.get("steps", 1000)),
-                    traces=int(w.get("traces", 1)),
-                )
-                if walk.steps < 1 or walk.traces < 1:
-                    errors.append(f"{where}: steps and traces must be >= 1")
-                    walk = None
-            except (KeyError, TypeError, ValueError) as exc:
-                errors.append(f"{where}: {exc}")
-    if "walk" in outputs and walk is None:
-        errors.append(f"{source}: outputs include 'walk' but no valid walk block given")
-
+    sc = _apply(SCENARIO_RULE, raw, source, errors)
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(
-        jobs=jobs,
-        conversion=conversion,
-        price_quantum=price_quantum,
-        rounds=rounds,
-        master_seed=master_seed,
-        outputs=list(outputs),
-        players=players,
-        population=population,
-        demand=demand,
-        initial_money=initial_money,
-        walk=walk,
-    )
+    return sc
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -316,42 +302,16 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def to_mapping(sc: ScenarioConfig) -> dict:
     """Inverse of parse_mapping; reparsing the result gives an equal config."""
-    out: dict[str, Any] = {
-        "jobs": [{"job_id": j.job_id, "workload": j.workload} for j in sc.jobs],
-        "conversion": sc.conversion,
-        "price_quantum": sc.price_quantum,
-        "rounds": sc.rounds,
-        "master_seed": sc.master_seed,
-        "initial_money": sc.initial_money,
-        "outputs": list(sc.outputs),
-    }
-    if sc.players is not None:
-        out["players"] = [
-            {"player_id": p.player_id, "efficiencies": dict(p.efficiencies)}
-            | ({} if p.money is None else {"money": p.money})
-            for p in sc.players
-        ]
-    if sc.population is not None:
-        out["population"] = {
-            "count": sc.population.count,
-            "efficiency_distribution": sc.population.efficiency_distribution,
-            "params": dict(sc.population.params),
-        }
+    out = {key: value for key, value in asdict(sc).items() if value is not None}
+    for player in out.get("players", []):
+        if player["money"] is None:
+            del player["money"]
+    if "walk" in out:
+        out["walk"] |= out["walk"].pop("params")
     if isinstance(sc.demand, dict):
-        nested: dict[str, dict[str, int]] = {}
+        out["demand"] = {}
         for (pid, jid), units in sc.demand.items():
-            nested.setdefault(pid, {})[jid] = units
-        out["demand"] = nested
-    else:
-        out["demand"] = sc.demand
-    if sc.walk is not None:
-        out["walk"] = {
-            "true_price": sc.walk.params.true_price,
-            "eta": sc.walk.params.eta,
-            "sigma": sc.walk.params.sigma,
-            "steps": sc.walk.steps,
-            "traces": sc.walk.traces,
-        }
+            out["demand"].setdefault(pid, {})[jid] = units
     return out
 
 
@@ -399,12 +359,7 @@ def build_economy(sc: ScenarioConfig) -> EconomyConfig:
     )
 
 
-def _decimals(quantum: float) -> int:
-    exponent = decimal.Decimal(repr(quantum)).normalize().as_tuple().exponent
-    return max(0, -int(exponent))
-
-
-def export_csv(rows: list[tuple], header: list[str], path: str | Path) -> Path:
+def export_csv(rows: list[tuple], header: Sequence[str], path: str | Path) -> Path:
     """Write rows with a header, LF endings, and no locale formatting.
 
     Cells must already be strings; numeric formatting is the caller's
@@ -421,144 +376,160 @@ def export_csv(rows: list[tuple], header: list[str], path: str | Path) -> Path:
     return path
 
 
+# One simulated round: the ledgers after it and its report.
+History = list[tuple[MarketState, RoundReport]]
+Rows = list[tuple[str, ...]]
+
+
+def _fe(x: float) -> str:
+    """An energy-valued cell."""
+    return f"{x:.9f}"
+
+
+def _price_format(sc: ScenarioConfig) -> str:
+    """Prices print at the price quantum's decimals: 0.01 gives '.2f'."""
+    exponent = decimal.Decimal(repr(sc.price_quantum)).normalize().as_tuple().exponent
+    return f".{max(0, -int(exponent))}f"
+
+
+def _trade_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) -> Rows:
+    pf = _price_format(sc)
+    return [
+        (
+            str(report.round),
+            t.buyer,
+            t.seller,
+            t.job,
+            str(t.units),
+            format(t.price, pf),
+            _fe(t.buyer_self_cost),
+            _fe(t.seller_cost),
+            _fe(t.system_energy_saved),
+        )
+        for _, report in history
+        for t in report.trades
+    ]
+
+
+def _wealth_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) -> Rows:
+    ids, pf = config.player_ids(), _price_format(sc)
+    return [
+        (
+            str(state.round),
+            pid,
+            format(state.money[pid], pf),
+            _fe(state.energy_spent[pid]),
+            _fe(state.energy_saved[pid]),
+        )
+        for state, _ in history
+        for pid in ids
+    ]
+
+
+def _savings_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) -> Rows:
+    reports = [report for _, report in history]
+    return [
+        (
+            str(rnd),
+            _fe(rep.autarky_energy),
+            _fe(rep.energy_expended_total),
+            _fe(saved),
+            _fe(frac),
+        )
+        for rep, (rnd, saved, frac) in zip(reports, system_savings_series(reports))
+    ]
+
+
+def _density_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) -> Rows:
+    rows, pf = [], _price_format(sc)
+    for jid in config.job_ids():
+        be = [
+            break_even_price(config.cost(pid, jid), config.conversion)
+            for pid in config.player_ids()
+        ]
+        atoms = build_price_density(be).atoms
+        rows += [(jid, format(price, pf), str(mass)) for price, mass in atoms]
+    return rows
+
+
+def _walk_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) -> Rows:
+    rows = []
+    for i in range(sc.walk.traces):
+        seed = derive_trace_seed(sc.master_seed, i)
+        values = simulate_walk(sc.walk.params, sc.walk.steps, seed).values.tolist()
+        rows += [(str(i), str(step), _fe(v)) for step, v in enumerate(values)]
+    return rows
+
+
+# Each output kind's CSV header and row builder; a selected kind is written
+# to <kind>.csv.
+OUTPUTS = {
+    "trades": (
+        (
+            "round",
+            "buyer",
+            "seller",
+            "job",
+            "units",
+            "price",
+            "buyer_self_cost",
+            "seller_cost",
+            "system_energy_saved",
+        ),
+        _trade_rows,
+    ),
+    "wealth": (
+        ("round", "player", "money", "energy_spent", "energy_saved"),
+        _wealth_rows,
+    ),
+    "savings": (
+        ("round", "autarky_energy", "energy_expended", "energy_saved", "saved_fraction"),
+        _savings_rows,
+    ),
+    "density": (("job", "price", "mass"), _density_rows),
+    "walk": (("trace", "step", "value"), _walk_rows),
+}
+OUTPUT_KINDS = tuple(OUTPUTS)
+
+
 def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> dict[str, Any]:
     """Execute a scenario end to end and write every selected output.
 
-    Returns a summary with the paths written, per-round reports, the final
-    state, and the assignment analysis. Byte-identical outputs for equal
-    (config, seed).
+    Returns the paths written (``paths``), the per-round reports
+    (``reports``), the economy (``config``), and the per-round energy of
+    the optimal assignment and of autarky. Equal (config, seed) give
+    byte-identical outputs. An economy the config cannot describe, such as
+    a player without an efficiency for some job, raises ConfigError.
     """
+    try:
+        config = build_economy(sc)
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from exc
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = build_economy(sc)
-    price_dp = _decimals(sc.price_quantum)
-
-    def fp(x: float) -> str:  # price-valued column
-        return f"{x:.{price_dp}f}"
-
-    def fe(x: float) -> str:  # energy-valued column
-        return f"{x:.9f}"
-
-    assignment, assignment_energy = optimal_assignment(config)
+    _, assignment_energy = optimal_assignment(config)
     autarky = autarky_energy(config)
 
     state = MarketState.from_config(config, sc.initial_money)
     offers = post_offers(config)
-    reports: list[RoundReport] = []
-    snapshots: list[WealthSnapshot] = []
-    spent_by_round: list[dict[str, float]] = []
-    keep_detail = "trades" in sc.outputs
+    history: History = []
     for _ in range(sc.rounds):
         state, report = execute_round(
-            config, state, offers=offers, record_detail=keep_detail
+            config, state, offers=offers, record_detail="trades" in sc.outputs
         )
-        reports.append(report)
-        if "wealth" in sc.outputs:
-            snapshots.append(
-                WealthSnapshot(
-                    round=report.round,
-                    wealth_by_player=dict(state.money),
-                    energy_saved_by_player=dict(state.energy_saved),
-                )
-            )
-            spent_by_round.append(dict(state.energy_spent))
+        history.append((state, report))
 
-    paths: dict[str, Path] = {}
-    if "trades" in sc.outputs:
-        rows = [
-            (
-                str(rep.round),
-                t.buyer,
-                t.seller,
-                t.job,
-                str(t.units),
-                fp(t.price),
-                fe(t.buyer_self_cost),
-                fe(t.seller_cost),
-                fe(t.system_energy_saved),
-            )
-            for rep in reports
-            for t in rep.trades
-        ]
-        paths["trades"] = export_csv(
-            rows,
-            [
-                "round",
-                "buyer",
-                "seller",
-                "job",
-                "units",
-                "price",
-                "buyer_self_cost",
-                "seller_cost",
-                "system_energy_saved",
-            ],
-            out_dir / "trades.csv",
-        )
-    if "wealth" in sc.outputs:
-        rows = [
-            (
-                str(s.round),
-                pid,
-                fp(s.wealth_by_player[pid]),
-                fe(spent[pid]),
-                fe(s.energy_saved_by_player[pid]),
-            )
-            for s, spent in zip(snapshots, spent_by_round)
-            for pid in config.player_ids()
-        ]
-        paths["wealth"] = export_csv(
-            rows,
-            ["round", "player", "money", "energy_spent", "energy_saved"],
-            out_dir / "wealth.csv",
-        )
-    if "savings" in sc.outputs:
-        rows = [
-            (
-                str(rnd),
-                fe(rep.autarky_energy),
-                fe(rep.energy_expended_total),
-                fe(saved),
-                fe(frac),
-            )
-            for rep, (rnd, saved, frac) in zip(reports, system_savings_series(reports))
-        ]
-        paths["savings"] = export_csv(
-            rows,
-            ["round", "autarky_energy", "energy_expended", "energy_saved", "saved_fraction"],
-            out_dir / "savings.csv",
-        )
-    if "density" in sc.outputs:
-        rows = []
-        for jid in config.job_ids():
-            be = [
-                break_even_price(config.cost(pid, jid), config.conversion)
-                for pid in config.player_ids()
-            ]
-            for price, mass in build_price_density(be).atoms:
-                rows.append((jid, fp(price), str(mass)))
-        paths["density"] = export_csv(rows, ["job", "price", "mass"], out_dir / "density.csv")
-    if "walk" in sc.outputs and sc.walk is not None:
-        rows = []
-        for i in range(sc.walk.traces):
-            trace = simulate_walk(
-                sc.walk.params,
-                sc.walk.steps,
-                derive_trace_seed(sc.master_seed, i),
-            )
-            for step, value in enumerate(trace.values):
-                rows.append((str(i), str(step), fe(float(value))))
-        paths["walk"] = export_csv(rows, ["trace", "step", "value"], out_dir / "walk.csv")
-
+    paths = {
+        kind: export_csv(build(sc, config, history), header, out_dir / f"{kind}.csv")
+        for kind, (header, build) in OUTPUTS.items()
+        if kind in sc.outputs
+    }
     return {
         "paths": paths,
-        "reports": reports,
-        "final_state": state,
+        "reports": [report for _, report in history],
         "config": config,
-        "assignment": assignment,
         "assignment_energy": assignment_energy,
         "autarky_energy": autarky,
-        "snapshots": snapshots,
     }
 
 

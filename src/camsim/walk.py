@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 
 @dataclass(frozen=True)
@@ -75,30 +74,25 @@ def simulate_walk(
 ) -> WalkTrace:
     """Generate a reproducible trace of ``steps`` values after ``start``.
 
-    Fast path runs the whole AR(1) recursion through an IIR filter; only
-    if that trajectory would dip below zero is the stepwise loop (which
-    applies and counts the clamp) used instead.
+    Steps the recursion one value at a time, clamping and counting each
+    negative estimate.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    x0 = params.true_price if start is None else start
+    current = params.true_price if start is None else start
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     noise = params.sigma * rng.standard_normal(steps)
     drive = params.eta * params.true_price + noise
-    zi = np.array([(1.0 - params.eta) * x0])
-    values, _ = lfilter([1.0], [1.0, -(1.0 - params.eta)], drive, zi=zi)
-    if not (values < 0).any():
-        return WalkTrace(values=values, seed=seed, clamped=0)
-    out = np.empty(steps)
-    current = x0
+    decay = 1.0 - params.eta
+    values = []
     clamped = 0
-    for t in range(steps):
-        current = (1.0 - params.eta) * current + drive[t]
+    for d in drive.tolist():
+        current = decay * current + d
         if current < 0:
             current = 0.0
             clamped += 1
-        out[t] = current
-    return WalkTrace(values=out, seed=seed, clamped=clamped)
+        values.append(current)
+    return WalkTrace(values=np.array(values), seed=seed, clamped=clamped)
 
 
 def stationary_stats(params: WalkParams) -> tuple[float, float]:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camsim import (
@@ -85,6 +85,31 @@ def test_correlation_negative_control():
     wealth = {pid: float(len(order) - i) for i, pid in enumerate(order)}
     snap = WealthSnapshot(0, wealth, {pid: 0.0 for pid in wealth})
     assert efficiency_wealth_correlation(snap, cfg) == -1.0
+
+
+@settings(deadline=None)  # the first example pays for importing scipy
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=3, max_size=40
+    )
+)
+def test_correlation_matches_scipy_spearman(pairs):
+    """Tied efficiencies and tied wealths, against scipy's Spearman rho."""
+    stats = pytest.importorskip("scipy.stats")
+    from camsim import EconomyConfig, JobSpec, Player
+
+    players = [Player(f"P{i:02d}", {"x": float(eff)}) for i, (eff, _) in enumerate(pairs)]
+    cfg = EconomyConfig(players=players, jobs=[JobSpec("x", 12.0)])
+    wealth = {p.player_id: float(w) for p, (_, w) in zip(players, pairs)}
+    snap = WealthSnapshot(0, wealth, {})
+    margins = best_margins(cfg)
+    if len(set(margins.values())) == 1 or len(set(wealth.values())) == 1:
+        with pytest.raises(ValueError):
+            efficiency_wealth_correlation(snap, cfg)
+        return
+    ids = cfg.player_ids()
+    rho = stats.spearmanr([margins[p] for p in ids], [wealth[p] for p in ids]).statistic
+    assert efficiency_wealth_correlation(snap, cfg) == pytest.approx(rho, rel=0, abs=1e-15)
 
 
 def test_correlation_degenerate_efficiencies():

@@ -1,11 +1,16 @@
+import copy
+import re
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from camsim import ConfigError, MarketState, load_config, run_scenario
 from camsim.cli import main
 from camsim.scenario import (
+    OUTPUTS,
     artifact_digests,
     build_economy,
     export_csv,
@@ -14,6 +19,17 @@ from camsim.scenario import (
 )
 
 DATA = Path(__file__).parent / "data"
+GOLDEN = yaml.safe_load((DATA / "golden.yaml").read_text())
+
+
+def golden_with(snippet: str) -> dict:
+    """golden.yaml with the snippet's top-level keys replaced; a population
+    replaces the players."""
+    raw = copy.deepcopy(GOLDEN)
+    raw.update(yaml.safe_load(snippet))
+    if "population" in raw:
+        del raw["players"]
+    return raw
 
 
 def test_load_golden_config(golden):
@@ -94,16 +110,76 @@ def test_to_mapping_omits_unset_money():
             "count must be",
         ),
         ("demand: {P1: {x: true}}", r"demand\['P1'\]\['x'\] must be"),
+        ("walk: {true_price: 10.0, eta: 0.5, sigma: 1.0, steps: 2.7}", "steps must be"),
+        ("walk: {true_price: 10.0, eta: 0.5, sigma: 1.0, traces: true}", "traces must be"),
+        ("players: [{player_id: P1, efficiencies: {x: 1.0}, money: true}]", "money must"),
+        ("players: [{player_id: P1, efficiencies: {x: 1.0}, money: -5}]", "money must"),
     ],
-    ids=["rounds", "master_seed", "population.count", "demand.units"],
+    ids=[
+        "rounds",
+        "master_seed",
+        "population.count",
+        "demand.units",
+        "walk.steps-fraction",
+        "walk.traces",
+        "money",
+        "money-negative",
+    ],
 )
 def test_yaml_boolean_is_not_an_integer(snippet, message):
-    raw = yaml.safe_load((DATA / "golden.yaml").read_text())
-    raw.update(yaml.safe_load(snippet))
-    if "population" in raw:
-        del raw["players"]
     with pytest.raises(ConfigError, match=message):
-        parse_mapping(raw)
+        parse_mapping(golden_with(snippet))
+
+
+GENERATED = golden_with(
+    "population: {count: 3, efficiency_distribution: uniform,"
+    " params: {low: 0.5, high: 2.0}}\n"
+    "walk: {true_price: 10.0, eta: 0.5, sigma: 1.0, steps: 5, traces: 2}\n"
+    "outputs: [trades, walk]\n"
+)
+
+
+def _paths(tree, path=()):
+    """The path of every value in a parsed YAML tree, the root's included."""
+    yield path
+    if isinstance(tree, dict):
+        children = tree.items()
+    elif isinstance(tree, list):
+        children = enumerate(tree)
+    else:
+        return
+    for key, value in children:
+        yield from _paths(value, path + (key,))
+
+
+PATHS = [("golden", p) for p in _paths(GOLDEN)]
+PATHS += [("generated", p) for p in _paths(GENERATED)]
+YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | st.integers(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300)
+@given(where=st.sampled_from(PATHS), value=YAML_VALUES)
+@example(where=("generated", ("population", "params", "low")), value="a")
+def test_any_replaced_value_is_rejected_or_round_trips(where, value):
+    base, path = where
+    raw = copy.deepcopy(GENERATED if base == "generated" else GOLDEN)
+    if not path:
+        raw = value
+    else:
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    try:
+        sc = parse_mapping(raw)
+    except ConfigError:
+        return
+    assert parse_mapping(to_mapping(sc)) == sc
 
 
 def test_generated_population_round_trip(tmp_path):
@@ -178,6 +254,55 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main([str(bad), "-o", str(tmp_path)]) == 2
     assert "jobs" in capsys.readouterr().err
     assert main([str(tmp_path / "missing.yaml")]) == 2
+
+
+@pytest.mark.parametrize(
+    "snippet, message",
+    [
+        ("players: [{player_id: P1, efficiencies: {x: 2.0}}]", "no efficiency for job 'y'"),
+        ("jobs: [{job_id: x, workload: 1.0}, {job_id: x, workload: 2.0}]", "job_ids must"),
+        (
+            "players: [{player_id: P1, efficiencies: {x: 1.0, y: 1.0}},"
+            " {player_id: P1, efficiencies: {x: 2.0, y: 1.0}}]",
+            "player_ids must be",
+        ),
+        ("demand: {P9: {x: 1}}", "unknown player 'P9'"),
+        (
+            "population: {count: 5, efficiency_distribution: uniform,"
+            " params: {low: a, high: 2}}",
+            "low must be",
+        ),
+        (
+            "population: {count: 5, efficiency_distribution: uniform,"
+            " params: {low: -1, high: 2}}",
+            "low must be",
+        ),
+        ("conversion: .inf", "conversion must be"),
+    ],
+    ids=[
+        "missing-efficiency",
+        "duplicate-job",
+        "duplicate-player",
+        "unknown-demand-player",
+        "params-not-a-number",
+        "params-negative",
+        "conversion-inf",
+    ],
+)
+def test_cli_every_config_error_exits_2(tmp_path, capsys, snippet, message):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(golden_with(snippet)))
+    assert main([str(cfg), "-o", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_readme_csv_table_matches_outputs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("### CSV artifacts")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)\.csv` \| (.+) \|$", table, re.MULTILINE)
+    assert {kind: tuple(columns.split(", ")) for kind, columns in rows} == {
+        kind: header for kind, (header, _) in OUTPUTS.items()
+    }
 
 
 def test_cli_seed_override_changes_generated_population(tmp_path):

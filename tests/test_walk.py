@@ -82,6 +82,23 @@ def test_trace_monte_carlo_matches_stationary_stats():
     assert abs(trace.values.var() - var) < 0.1 * var
 
 
+@pytest.mark.parametrize(
+    "eta, sigma, start, seed",
+    [(0.1, 10.0, None, 1), (0.5, 10.0, 40.0, 2), (1.0, 5.0, None, 3), (1.7, 1.0, 200.0, 4)],
+)
+def test_unclamped_trace_equals_iir_filter(eta, sigma, start, seed):
+    """Without clamping the recursion is the IIR filter y = x / (1 - (1 - eta) z^-1)."""
+    signal = pytest.importorskip("scipy.signal")
+    params = WalkParams(true_price=100.0, eta=eta, sigma=sigma)
+    trace = simulate_walk(params, 5000, seed, start=start)
+    x0 = params.true_price if start is None else start
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    drive = eta * params.true_price + sigma * rng.standard_normal(5000)
+    expected, _ = signal.lfilter([1.0], [1.0, -(1.0 - eta)], drive, zi=[(1.0 - eta) * x0])
+    assert trace.clamped == 0
+    assert np.array_equal(trace.values, expected)
+
+
 def test_noiseless_trace_monotone_convergence():
     params = WalkParams(true_price=100.0, eta=0.2, sigma=0.0)
     trace = simulate_walk(params, 50, seed=0, start=10.0)
