@@ -14,7 +14,6 @@ from camsim import (
     EconomyConfig,
     JobSpec,
     Player,
-    WealthSnapshot,
     efficiency_wealth_correlation,
     gini,
     pareto_tail_fit,
@@ -44,8 +43,7 @@ print(f"Gini of earned wealth: {gini(wealth.tolist()):.3f}")
 earners = sum(m > 1e9 for m in state.money.values())
 print(f"Players with any earnings: {earners} of 100")
 
-snap = WealthSnapshot(500, dict(state.money), dict(state.energy_saved))
-rho = efficiency_wealth_correlation(snap, config)
+rho = efficiency_wealth_correlation(state.money, config)
 print(f"Spearman best-margin vs wealth: {rho:.3f}")
 
 top = sorted(state.money.items(), key=lambda kv: -kv[1])[:5]

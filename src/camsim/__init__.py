@@ -5,23 +5,18 @@ jobs whose execution costs energy, a strictly conserved quantity. The
 package provides energy-cost accounting, globally energy-minimizing job
 assignment, price-density pricing, a round-based market with zero-sum
 ledgers, wealth-distribution analysis, and a mean-reverting model of
-noisy price estimation.
+noisy price estimation. Checks that only the tests use (assignment net
+energy and stationarity, vectorized buyer counts, density mass, the
+no-trade witness) live in ``tests/oracles.py``.
 """
 
 from .analysis import (
-    WealthSnapshot,
     efficiency_wealth_correlation,
     gini,
     pareto_tail_fit,
     system_savings_series,
 )
-from .assignment import (
-    Assignment,
-    brute_force_min_assignment,
-    net_energy,
-    optimal_assignment,
-    stationarity_check,
-)
+from .assignment import Assignment, brute_force_min_assignment, optimal_assignment
 from .core import (
     CapacityError,
     EconomyConfig,
@@ -32,7 +27,6 @@ from .core import (
     energy_cost,
 )
 from .market import (
-    Decision,
     MarketState,
     Offer,
     RoundReport,
@@ -41,17 +35,13 @@ from .market import (
     execute_round,
     post_offers,
     run_market,
-    trade_decision,
 )
 from .pricing import (
     PriceDensity,
     PriceSolution,
     build_price_density,
     buyer_count,
-    no_trade_witness,
     optimal_price,
-    profit,
-    total_mass,
 )
 from .scenario import ConfigError, ScenarioConfig, load_config, run_scenario
 from .walk import (
@@ -60,7 +50,6 @@ from .walk import (
     derive_trace_seed,
     simulate_walk,
     stationary_stats,
-    walk_step,
 )
 
 __version__ = "0.1.0"

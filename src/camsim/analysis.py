@@ -9,19 +9,11 @@ player's best cost margin over the population and their final money.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CapacityError, EconomyConfig
 from .market import RoundReport
-
-
-@dataclass(frozen=True)
-class WealthSnapshot:
-    round: int
-    wealth_by_player: dict[str, float]
-    energy_saved_by_player: dict[str, float]
 
 
 def gini(wealths: list[float]) -> float:
@@ -80,16 +72,16 @@ def _ranks(x: list[float]) -> np.ndarray:
 
 
 def efficiency_wealth_correlation(
-    snapshot: WealthSnapshot, config: EconomyConfig
+    wealth: dict[str, float], config: EconomyConfig
 ) -> float:
-    """Spearman rank correlation between best margin and wealth: the Pearson
-    correlation of their ranks."""
+    """Spearman rank correlation between best margin and wealth (money by
+    player id): the Pearson correlation of their ranks."""
     players = config.player_ids()
     if len(players) < 3:
         raise CapacityError("need at least 3 players for a rank correlation")
     margins = best_margins(config)
     m = [margins[pid] for pid in players]
-    w = [snapshot.wealth_by_player[pid] for pid in players]
+    w = [wealth[pid] for pid in players]
     if len(set(m)) == 1:
         raise ValueError("all margins identical; efficiency ranks undefined")
     a, b = (_ranks(x) for x in (m, w))
@@ -97,7 +89,7 @@ def efficiency_wealth_correlation(
     b -= b.mean()
     scale = math.sqrt(float(a @ a) * float(b @ b))
     if scale == 0.0:
-        raise ValueError("rank correlation undefined for this snapshot")
+        raise ValueError("all wealths identical; wealth ranks undefined")
     return float(a @ b) / scale
 
 

@@ -11,9 +11,9 @@ import json
 import sys
 from dataclasses import replace
 
-from .core import CapacityError, EconomyConfig, JobSpec, Player
+from .core import CapacityError, EconomyConfig
 from .market import conservation_check, run_market
-from .scenario import ConfigError, load_config, run_scenario
+from .scenario import ConfigError, load_config, parse_mapping, run_scenario, to_mapping
 
 
 def _check_suite(result: dict, verbose: bool) -> list[str]:
@@ -24,29 +24,22 @@ def _check_suite(result: dict, verbose: bool) -> list[str]:
         if not conservation_check(report, config):
             failures.append(f"conservation violated in round {report.round}")
 
-    # Degenerate variants of this economy must produce zero trades.
-    zero_cost = EconomyConfig(
-        players=[Player(p.player_id, dict(p.efficiencies)) for p in config.players],
-        jobs=[JobSpec(j.job_id, 0.0) for j in config.jobs],
-        demand=dict(config.demand),
-        conversion=config.conversion,
-        price_quantum=config.price_quantum,
-    )
-    _, reports = run_market(zero_cost, rounds=3, record_detail=False)
-    if any(r.n_trades for r in reports):
-        failures.append("zero-cost economy executed trades")
-
-    shared = dict(config.players[0].efficiencies)
-    identical = EconomyConfig(
-        players=[Player(p.player_id, dict(shared)) for p in config.players],
-        jobs=list(config.jobs),
-        demand=dict(config.demand),
-        conversion=config.conversion,
-        price_quantum=config.price_quantum,
-    )
-    _, reports = run_market(identical, rounds=3, record_detail=False)
-    if any(r.n_trades for r in reports):
-        failures.append("identical-efficiency economy executed trades")
+    # Without a conserved cost, or without comparative advantage, nobody
+    # trades. Both variants start every player at the default endowment.
+    players = [replace(p, money=None) for p in config.players]
+    shared = config.players[0].efficiencies
+    variants = {
+        "zero-cost": replace(
+            config, players=players, jobs=[replace(j, workload=0.0) for j in config.jobs]
+        ),
+        "identical-efficiency": replace(
+            config, players=[replace(p, efficiencies=shared) for p in players]
+        ),
+    }
+    for name, variant in variants.items():
+        _, reports = run_market(variant, rounds=3, record_detail=False)
+        if any(r.n_trades for r in reports):
+            failures.append(f"{name} economy executed trades")
 
     if verbose and not failures:
         print("check: conservation and no-trade properties hold")
@@ -72,7 +65,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         sc = load_config(args.config)
         if args.seed is not None:
-            sc = replace(sc, master_seed=args.seed)
+            # Back through the rules, so a bad seed fails before any output.
+            sc = parse_mapping(to_mapping(sc) | {"master_seed": args.seed}, "--seed")
         result = run_scenario(sc, args.out)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)

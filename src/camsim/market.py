@@ -13,7 +13,6 @@ they can be computed once and reused across rounds.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -21,11 +20,6 @@ from .core import EconomyConfig, autarky_energy, break_even_price
 from .pricing import build_price_density, optimal_price
 
 DEFAULT_ENDOWMENT = 1e9
-
-
-class Decision(enum.Enum):
-    BUY = "buy"
-    SELF_PRODUCE = "self_produce"
 
 
 @dataclass(frozen=True)
@@ -121,13 +115,6 @@ def post_offers(config: EconomyConfig) -> list[Offer]:
     return offers
 
 
-def trade_decision(self_cost_money: float, best_offer: float) -> Decision:
-    """Buy only on a strict improvement; ties self-produce."""
-    if self_cost_money < 0 or best_offer < 0:
-        raise ValueError("costs and offers must be >= 0")
-    return Decision.BUY if best_offer < self_cost_money else Decision.SELF_PRODUCE
-
-
 def execute_round(
     config: EconomyConfig,
     state: MarketState,
@@ -173,11 +160,8 @@ def execute_round(
             best = next(
                 (o for o in best_offers.get(jid, ()) if o.seller != buyer), None
             )
-            buy = (
-                best is not None
-                and trade_decision(config.conversion * self_cost, best.price)
-                is Decision.BUY
-            )
+            # Buy only on a strict improvement; ties self-produce.
+            buy = best is not None and best.price < config.conversion * self_cost
             forced = False
             if buy:
                 total_price = best.price * units

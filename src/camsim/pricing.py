@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class PriceDensity:
@@ -63,30 +61,11 @@ def build_price_density(
     return PriceDensity(tuple(sorted(counts.items())))
 
 
-def total_mass(density: PriceDensity) -> int:
-    """Number of players represented by the density."""
-    return sum(mass for _, mass in density.atoms)
-
-
 def buyer_count(density: PriceDensity, posted: float) -> int:
     """Players whose self-cost strictly exceeds the posted price."""
     if posted < 0:
         raise ValueError(f"posted price must be >= 0, got {posted}")
     return sum(mass for price, mass in density.atoms if price > posted)
-
-
-def buyer_counts(density: PriceDensity, posted: np.ndarray) -> np.ndarray:
-    """Vectorized buyer_count over an array of posted prices."""
-    prices = np.array([p for p, _ in density.atoms])
-    masses = np.array([m for _, m in density.atoms], dtype=np.int64)
-    above = np.concatenate([np.cumsum(masses[::-1])[::-1], [0]])
-    idx = np.searchsorted(prices, posted, side="right")
-    return above[idx]
-
-
-def profit(posted: float, break_even: float, density: PriceDensity) -> float:
-    """Seller gain (posted - break_even) * buyers at that posting."""
-    return (posted - break_even) * buyer_count(density, posted)
 
 
 def optimal_price(
@@ -109,27 +88,10 @@ def optimal_price(
         cand = atom_price - quantum
         if cand <= break_even:
             continue
-        gain = profit(cand, break_even, density)
+        buyers = buyer_count(density, cand)
+        gain = (cand - break_even) * buyers
         if best is None or gain > best.profit:
-            best = PriceSolution(cand, buyer_count(density, cand), gain)
+            best = PriceSolution(cand, buyers, gain)
     if best is None or best.profit <= 0:
         return PriceSolution(break_even, buyer_count(density, break_even), 0.0)
     return best
-
-
-def no_trade_witness(
-    density: PriceDensity, break_even: float, quantum: float
-) -> bool:
-    """True iff this seller can induce no trade at any posting.
-
-    Holds for the delta density at zero cost and whenever every atom sits
-    at the seller's own break-even: no posting above break-even finds a
-    single buyer.
-    """
-    if optimal_price(break_even, density, quantum).profit != 0:
-        return False
-    for atom_price, _ in density.atoms:
-        cand = atom_price - quantum
-        if cand > break_even and buyer_count(density, cand) > 0:
-            return False
-    return True

@@ -143,10 +143,12 @@ def _mapping(rules: dict[str, Rule], required=(), build: Callable = dict) -> Rul
     return rule
 
 
-def _list_of(rule: Rule) -> Rule:
+def _list_of(rule: Rule, nonempty: bool = False) -> Rule:
     def check(x: Any) -> list:
         if not isinstance(x, list):
             raise ValueError(" must be a list")
+        if nonempty and not x:
+            raise ValueError(" must not be empty")
         errors: list[str] = []
         out = [_apply(rule, item, f"[{n}]", errors) for n, item in enumerate(x)]
         if errors:
@@ -244,7 +246,8 @@ SCENARIO_RULE = _mapping(
                 },
                 ("player_id", "efficiencies"),
                 Player,
-            )
+            ),
+            nonempty=True,
         ),
         "population": _mapping(
             {

@@ -11,6 +11,10 @@ serves as the closed-form oracle for simulated traces. Estimates are
 prices, so negative values are clamped to zero and counted; stationary
 statistics are only trusted when sigma is small against the true price
 and clamping is vanishingly rare.
+
+``simulate_walk`` generates a trace, ``stationary_stats`` gives the
+closed-form moments, and ``derive_trace_seed`` spawns each trace's seed
+from the scenario's master seed.
 """
 
 from __future__ import annotations
@@ -41,32 +45,6 @@ class WalkTrace:
     values: np.ndarray
     seed: int
     clamped: int
-
-
-def noisy_estimate(true_price: float, sigma: float, rng: np.random.Generator) -> float:
-    """One Gaussian mis-estimate of a true price, clamped to 0."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return max(0.0, true_price + sigma * rng.standard_normal())
-
-
-def noisy_population(
-    true_price: float, sigma: float, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """A population of mis-estimates plus the number of clamp events."""
-    raw = true_price + sigma * rng.standard_normal(count)
-    clamped = int(np.count_nonzero(raw < 0))
-    return np.maximum(raw, 0.0), clamped
-
-
-def walk_step(current: float, params: WalkParams, rng: np.random.Generator) -> float:
-    """Advance the estimate one step toward the true price, with noise."""
-    nxt = (
-        (1.0 - params.eta) * current
-        + params.eta * params.true_price
-        + params.sigma * rng.standard_normal()
-    )
-    return max(0.0, nxt)
 
 
 def simulate_walk(

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from camsim import (
     CapacityError,
-    WealthSnapshot,
     efficiency_wealth_correlation,
     gini,
     pareto_tail_fit,
@@ -70,8 +69,7 @@ def test_hill_drifts_on_exponential_tails():
 def test_correlation_golden():
     cfg = golden_config()
     state, _ = run_market(cfg, 100)
-    snap = WealthSnapshot(100, dict(state.money), dict(state.energy_saved))
-    assert efficiency_wealth_correlation(snap, cfg) == 1.0
+    assert efficiency_wealth_correlation(state.money, cfg) == 1.0
 
 
 def test_correlation_negative_control():
@@ -83,8 +81,7 @@ def test_correlation_negative_control():
     margins = best_margins(cfg)
     order = sorted(margins, key=margins.get)
     wealth = {pid: float(len(order) - i) for i, pid in enumerate(order)}
-    snap = WealthSnapshot(0, wealth, {pid: 0.0 for pid in wealth})
-    assert efficiency_wealth_correlation(snap, cfg) == -1.0
+    assert efficiency_wealth_correlation(wealth, cfg) == -1.0
 
 
 @settings(deadline=None)  # the first example pays for importing scipy
@@ -101,15 +98,14 @@ def test_correlation_matches_scipy_spearman(pairs):
     players = [Player(f"P{i:02d}", {"x": float(eff)}) for i, (eff, _) in enumerate(pairs)]
     cfg = EconomyConfig(players=players, jobs=[JobSpec("x", 12.0)])
     wealth = {p.player_id: float(w) for p, (_, w) in zip(players, pairs)}
-    snap = WealthSnapshot(0, wealth, {})
     margins = best_margins(cfg)
     if len(set(margins.values())) == 1 or len(set(wealth.values())) == 1:
         with pytest.raises(ValueError):
-            efficiency_wealth_correlation(snap, cfg)
+            efficiency_wealth_correlation(wealth, cfg)
         return
     ids = cfg.player_ids()
     rho = stats.spearmanr([margins[p] for p in ids], [wealth[p] for p in ids]).statistic
-    assert efficiency_wealth_correlation(snap, cfg) == pytest.approx(rho, rel=0, abs=1e-15)
+    assert efficiency_wealth_correlation(wealth, cfg) == pytest.approx(rho, rel=0, abs=1e-15)
 
 
 def test_correlation_degenerate_efficiencies():
@@ -117,9 +113,9 @@ def test_correlation_degenerate_efficiencies():
 
     players = [Player(f"P{i}", {"x": 1.0}) for i in range(4)]
     cfg = EconomyConfig(players=players, jobs=[JobSpec("x", 5.0)])
-    snap = WealthSnapshot(0, {p.player_id: 1.0 for p in players}, {})
+    wealth = {p.player_id: 1.0 for p in players}
     with pytest.raises(ValueError):
-        efficiency_wealth_correlation(snap, cfg)
+        efficiency_wealth_correlation(wealth, cfg)
 
 
 def test_correlation_too_few_players():
@@ -127,9 +123,8 @@ def test_correlation_too_few_players():
 
     players = [Player("a", {"x": 1.0}), Player("b", {"x": 2.0})]
     cfg = EconomyConfig(players=players, jobs=[JobSpec("x", 5.0)])
-    snap = WealthSnapshot(0, {"a": 1.0, "b": 2.0}, {})
     with pytest.raises(CapacityError):
-        efficiency_wealth_correlation(snap, cfg)
+        efficiency_wealth_correlation({"a": 1.0, "b": 2.0}, cfg)
 
 
 def test_savings_series_golden():

@@ -9,10 +9,9 @@ from camsim import (
     Player,
     autarky_energy,
     brute_force_min_assignment,
-    net_energy,
     optimal_assignment,
-    stationarity_check,
 )
+from tests.oracles import net_energy, stationarity_check
 
 
 def random_economy(rng, n_players, n_jobs, eff_low=0.5, eff_high=2.0):

@@ -3,7 +3,6 @@ import dataclasses
 import pytest
 
 from camsim import (
-    Decision,
     EconomyConfig,
     JobSpec,
     MarketState,
@@ -13,7 +12,6 @@ from camsim import (
     execute_round,
     post_offers,
     run_market,
-    trade_decision,
 )
 
 
@@ -54,10 +52,17 @@ def test_post_offers_degenerate_cases():
     assert post_offers(solo) == []
 
 
-def test_trade_decision():
-    assert trade_decision(100, 80) is Decision.BUY
-    assert trade_decision(100, 500) is Decision.SELF_PRODUCE
-    assert trade_decision(100, 100) is Decision.SELF_PRODUCE
+@pytest.mark.parametrize(
+    "price, buys", [(9.0, True), (10.0, False), (11.0, False)], ids=["below", "equal", "above"]
+)
+def test_buys_only_below_break_even(golden, price, buys):
+    """P3's break-even for x is 10: a cheaper offer buys; a tie self-produces."""
+    state = MarketState.from_config(golden)
+    _, report = execute_round(golden, state, offers=[Offer("P1", "x", price)])
+    bought = {(t.buyer, t.job) for t in report.trades}
+    made = {(s.player, s.job) for s in report.self_productions if not s.forced}
+    assert (("P3", "x") in bought) is buys
+    assert (("P3", "x") in made) is not buys
 
 
 def test_execute_round_golden_trace(golden):

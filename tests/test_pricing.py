@@ -3,16 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camsim import (
-    PriceDensity,
-    build_price_density,
-    buyer_count,
-    no_trade_witness,
-    optimal_price,
-    profit,
-    total_mass,
-)
-from camsim.pricing import buyer_counts
+from camsim import PriceDensity, build_price_density, buyer_count, optimal_price
+from tests.oracles import buyer_counts, no_trade_witness, total_mass
 
 # costs on the quantum grid so the candidate search is exactly comparable
 # to a grid scan
@@ -21,6 +13,11 @@ grid_costs = st.lists(
     min_size=1,
     max_size=30,
 )
+
+
+def profit(posted: float, break_even: float, density: PriceDensity) -> float:
+    """Seller gain (posted - break_even) * buyers at that posting."""
+    return (posted - break_even) * buyer_count(density, posted)
 
 
 def scan_max_profit(break_even: float, density: PriceDensity, quantum: float) -> float:

@@ -278,6 +278,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             "low must be",
         ),
         ("conversion: .inf", "conversion must be"),
+        ("players: []", "players must not be empty"),
     ],
     ids=[
         "missing-efficiency",
@@ -287,6 +288,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         "params-not-a-number",
         "params-negative",
         "conversion-inf",
+        "no-players",
     ],
 )
 def test_cli_every_config_error_exits_2(tmp_path, capsys, snippet, message):
@@ -294,6 +296,19 @@ def test_cli_every_config_error_exits_2(tmp_path, capsys, snippet, message):
     cfg.write_text(yaml.safe_dump(golden_with(snippet)))
     assert main([str(cfg), "-o", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_negative_seed_exits_2_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "walk.yaml"
+    snippet = (
+        "outputs: [trades, wealth, savings, density, walk]\n"
+        "walk: {true_price: 10.0, eta: 0.5, sigma: 1.0, steps: 5}\n"
+    )
+    cfg.write_text(yaml.safe_dump(golden_with(snippet)))
+    out = tmp_path / "out"
+    assert main([str(cfg), "-o", str(out), "--seed", "-1"]) == 2
+    assert "master_seed must be" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_readme_csv_table_matches_outputs():

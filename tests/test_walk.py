@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from camsim import WalkParams, simulate_walk, stationary_stats, walk_step
-from camsim.walk import derive_trace_seed, noisy_estimate, noisy_population
+from camsim import WalkParams, derive_trace_seed, simulate_walk, stationary_stats
 
 
 def test_params_validation():
@@ -14,47 +13,21 @@ def test_params_validation():
         WalkParams(true_price=1.0, eta=0.5, sigma=-1.0)
 
 
-def test_noisy_estimate_degenerate():
-    rng = np.random.default_rng(0)
-    assert noisy_estimate(100.0, 0.0, rng) == 100.0
-
-
-def test_noisy_estimate_moments():
-    rng = np.random.default_rng(1)
-    draws, clamped = noisy_population(100.0, 5.0, 100_000, rng)
-    assert clamped == 0
-    assert abs(draws.mean() - 100.0) < 0.1
-    assert abs(draws.std() - 5.0) < 0.15
-
-
-def test_noisy_estimate_clamping_counted():
-    rng = np.random.default_rng(2)
-    draws, clamped = noisy_population(1.0, 100.0, 10_000, rng)
-    assert clamped > 0
-    assert (draws >= 0).all()
-
-
 def test_walk_step_fixed_point():
     params = WalkParams(true_price=50.0, eta=0.3, sigma=0.0)
-    rng = np.random.default_rng(0)
-    assert walk_step(50.0, params, rng) == 50.0
+    assert simulate_walk(params, 1, seed=0, start=50.0).values[0] == 50.0
 
 
 def test_walk_step_geometric_convergence():
     params = WalkParams(true_price=100.0, eta=0.5, sigma=0.0)
-    rng = np.random.default_rng(0)
-    x = 0.0
-    x = walk_step(x, params, rng)
-    assert x == 50.0
-    for _ in range(9):
-        x = walk_step(x, params, rng)
-    assert x == pytest.approx(100.0 * (1 - 0.5**10))
+    x = simulate_walk(params, 10, seed=0, start=0.0).values
+    assert x[0] == 50.0
+    assert x[-1] == pytest.approx(100.0 * (1 - 0.5**10))
 
 
 def test_walk_step_full_correction():
     params = WalkParams(true_price=42.0, eta=1.0, sigma=0.0)
-    rng = np.random.default_rng(0)
-    assert walk_step(7.0, params, rng) == 42.0
+    assert simulate_walk(params, 1, seed=0, start=7.0).values[0] == 42.0
 
 
 def test_stationary_stats_examples():
