@@ -7,7 +7,7 @@ assignment, price-density pricing, a round-based market with zero-sum
 ledgers, wealth-distribution analysis, and a mean-reverting model of
 noisy price estimation. Checks that only the tests use (assignment net
 energy and stationarity, vectorized buyer counts, density mass, the
-no-trade witness) live in ``tests/oracles.py``.
+no-trade witness, every seller's offer) live in ``tests/oracles.py``.
 """
 
 from .analysis import (

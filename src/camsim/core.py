@@ -99,6 +99,34 @@ class EconomyConfig:
                     raise ValueError(
                         f"player {p.player_id!r} has no efficiency for job {jid!r}"
                     )
+        # A round moves at most each job's total demand times its highest
+        # per-unit cost in energy, or break-even in money; summed over the
+        # jobs, that must be a finite float. An int too large for a float
+        # counts as infinite.
+        totals = dict.fromkeys(self._jobs, 0)
+        for (_, jid), units in self.demand.items():
+            totals[jid] += units
+        scale = max(self.conversion, 1.0)
+        bound = 0.0
+        for jid, total in totals.items():
+            highest = 0.0
+            for pid in self._players:
+                cost = self.cost(pid, jid)
+                if not math.isfinite(cost * scale):
+                    raise ValueError(
+                        f"player {pid!r}: cost or break-even price of job {jid!r}"
+                        " is not finite"
+                    )
+                highest = max(highest, cost * scale)
+            try:
+                bound += float(total) * highest
+            except OverflowError:
+                bound = math.inf
+        if not math.isfinite(bound):
+            raise ValueError(
+                "total demand times the highest cost or break-even price,"
+                " summed over the jobs, is not finite"
+            )
 
     def player(self, player_id: str) -> Player:
         return self._players[player_id]

@@ -1,18 +1,20 @@
 """Round-based market loop with strict conservation ledgers.
 
-Each round: every player posts a profit-maximizing price for every job
-where a positive profit exists (against the density of the other players'
-break-evens), then every demanding player either buys from the cheapest
-poster or self-produces. Money transfers are zero-sum by construction and
-verified exactly; energy expended plus energy saved must partition the
-round's autarky energy.
+Every player prices every job against the density of the job's break-evens,
+and the two offers a buyer can take are posted per job: the first and
+second in (price, seller cost, seller id) order. Each round, every
+demanding player either buys the first of them not its own or
+self-produces. Money transfers are zero-sum by construction and verified
+exactly; energy expended plus energy saved must partition the round's
+autarky energy.
 
 Offers depend only on efficiencies and workloads, never on balances, so
-they can be computed once and reused across rounds.
+they are posted once and reused across rounds.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -96,49 +98,47 @@ class MarketState:
 
 
 def post_offers(config: EconomyConfig) -> list[Offer]:
-    """One offer per (player, job) with positive expected profit.
+    """Per job, in job_id order, the first two offers in the order buyers take them.
 
-    Sellers price against the density of everyone else's break-evens; a
-    seller for whom no posting can attract a buyer posts nothing.
+    Every seller is priced against the density of all the job's break-evens.
+    Its own atom sits at its break-even, where optimal_price neither posts
+    nor counts a buyer, so the density of the others would give the same
+    price. Of the offers with positive profit, the first two by (price,
+    seller cost, seller id) are kept: a buyer takes the first offer from
+    someone else, which is one of these two.
     """
     players = config.player_ids()
     offers: list[Offer] = []
     for jid in config.job_ids():
-        break_evens = [
-            break_even_price(config.cost(pid, jid), config.conversion) for pid in players
-        ]
-        for i, pid in enumerate(players):
-            density = build_price_density(break_evens, exclude=i)
-            sol = optimal_price(break_evens[i], density, config.price_quantum)
+        costs = [config.cost(pid, jid) for pid in players]
+        break_evens = [break_even_price(c, config.conversion) for c in costs]
+        density = build_price_density(break_evens)
+        ranked = []
+        for pid, cost, break_even in zip(players, costs, break_evens):
+            sol = optimal_price(break_even, density, config.price_quantum)
             if sol.profit > 0:
-                offers.append(Offer(seller=pid, job=jid, price=sol.price))
+                ranked.append((sol.price, cost, pid))
+        offers += [Offer(pid, jid, price) for price, _, pid in heapq.nsmallest(2, ranked)]
     return offers
 
 
 def execute_round(
     config: EconomyConfig,
     state: MarketState,
-    offers: list[Offer] | None = None,
+    offers: list[Offer],
     record_detail: bool = True,
 ) -> tuple[MarketState, RoundReport]:
-    """Run one simultaneous-posting, simultaneous-buying round.
+    """Run one simultaneous-buying round against posted offers.
 
-    Deterministic given (config, state): buyers take the lowest-priced
-    offer from another player (ties to the lowest seller id), buy on a
-    strict money improvement, and fall back to self-production otherwise.
+    Pass ``offers`` in the order post_offers returns them: per job, a buyer
+    takes the first offer from another player in the order given, buys on a
+    strict money improvement, and falls back to self-production otherwise.
     A buyer who cannot afford the purchase self-produces and is flagged.
     The round draws no randomness. With record_detail=False only the
     ledger totals are kept (trade/self-production lists stay empty).
     """
-    if offers is None:
-        offers = post_offers(config)
-    # Equal-priced competitors are frequent (candidate postings sit on the
-    # same density atoms); the cheaper producer sustains the price and wins
-    # the tie, id only as the final disambiguator.
     best_offers: dict[str, list[Offer]] = {}
-    for off in sorted(
-        offers, key=lambda o: (o.job, o.price, config.cost(o.seller, o.job), o.seller)
-    ):
+    for off in offers:
         best_offers.setdefault(off.job, []).append(off)
 
     new = state.copy()

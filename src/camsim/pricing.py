@@ -47,16 +47,13 @@ class PriceSolution:
     profit: float
 
 
-def build_price_density(
-    costs: list[float], exclude: int | None = None
-) -> PriceDensity:
-    """Group break-even prices into atoms, optionally omitting one seller."""
-    kept = [c for i, c in enumerate(costs) if i != exclude]
-    for c in kept:
+def build_price_density(costs: list[float]) -> PriceDensity:
+    """Group break-even prices into atoms, one per distinct price, with its count."""
+    for c in costs:
         if c < 0 or not math.isfinite(c):
             raise ValueError(f"costs must be finite and >= 0, got {c}")
     counts: dict[float, int] = {}
-    for c in kept:
+    for c in costs:
         counts[c] = counts.get(c, 0) + 1
     return PriceDensity(tuple(sorted(counts.items())))
 

@@ -8,7 +8,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from camsim import Assignment, EconomyConfig, PriceDensity, buyer_count, optimal_price
+from camsim import (
+    Assignment,
+    EconomyConfig,
+    Offer,
+    PriceDensity,
+    break_even_price,
+    build_price_density,
+    buyer_count,
+    optimal_price,
+)
 
 
 def validate(assignment: Assignment, config: EconomyConfig) -> None:
@@ -77,3 +86,23 @@ def no_trade_witness(
         if cand > break_even and buyer_count(density, cand) > 0:
             return False
     return True
+
+
+def all_offers(config: EconomyConfig) -> list[Offer]:
+    """One offer per (player, job) with positive expected profit.
+
+    Sellers price against the density of everyone else's break-evens; a
+    seller for whom no posting can attract a buyer posts nothing.
+    """
+    players = config.player_ids()
+    offers: list[Offer] = []
+    for jid in config.job_ids():
+        break_evens = [
+            break_even_price(config.cost(pid, jid), config.conversion) for pid in players
+        ]
+        for i, pid in enumerate(players):
+            density = build_price_density(break_evens[:i] + break_evens[i + 1 :])
+            sol = optimal_price(break_evens[i], density, config.price_quantum)
+            if sol.profit > 0:
+                offers.append(Offer(seller=pid, job=jid, price=sol.price))
+    return offers

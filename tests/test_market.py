@@ -1,6 +1,9 @@
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camsim import (
     EconomyConfig,
@@ -13,6 +16,7 @@ from camsim import (
     post_offers,
     run_market,
 )
+from tests.oracles import all_offers
 
 
 def zero_cost_config():
@@ -50,6 +54,115 @@ def test_post_offers_degenerate_cases():
         demand={("only", "x"): 1},
     )
     assert post_offers(solo) == []
+
+
+# One job in which float rounding makes a dearer producer post the lower price.
+FLOAT_TIE = {
+    "A": 0.49999999999999994,
+    "B": 0.5,
+    "C": 2.476761011071421,
+    "D": 1.9649734648932393,
+}
+
+
+def one_job_economy(efficiencies: dict[str, float]) -> EconomyConfig:
+    return EconomyConfig(
+        players=[Player(pid, {"x": eff}) for pid, eff in efficiencies.items()],
+        jobs=[JobSpec("x", 5.5)],
+        demand={(pid, "x"): 1 for pid in efficiencies},
+        conversion=1.1,
+        price_quantum=0.5,
+    )
+
+
+@pytest.mark.parametrize(
+    "efficiencies, cheapest",
+    [(FLOAT_TIE, ["C", "D"]), (FLOAT_TIE | {"E": 2.0}, ["C", "E"])],
+    ids=["cheapest-loses", "two-cheapest-lose"],
+)
+def test_dearer_producer_can_post_the_lower_price(efficiencies, cheapest):
+    """C has the lowest cost (2.22) but posts 11.600000000000003; D posts
+    11.600000000000001 and sells. With E added, D is only the third cheapest
+    and still sells, so pricing only the two cheapest by (cost, id) would
+    post the wrong winner."""
+    cfg = one_job_economy(efficiencies)
+    assert sorted(cfg.player_ids(), key=lambda pid: cfg.cost(pid, "x"))[:2] == cheapest
+    assert post_offers(cfg) == [
+        Offer("D", "x", 11.600000000000001),
+        Offer("C", "x", 11.600000000000003),
+    ]
+    _, reports = run_market(cfg, 2)
+    for report in reports:
+        assert {(t.buyer, t.seller) for t in report.trades} == {("A", "D"), ("B", "D")}
+
+
+@st.composite
+def economies(draw):
+    """Small economies with near-tied efficiencies and off-grid costs.
+
+    Most efficiencies come from a few base values, each stepped a few floats
+    up, so that break-evens and candidate prices sit a few ulps apart and
+    float rounding can reorder the sellers' prices against their costs.
+    """
+    bases = draw(st.lists(st.floats(0.25, 4.0), min_size=1, max_size=3))
+
+    def efficiency() -> float:
+        if draw(st.booleans()):
+            return draw(st.floats(0.25, 4.0))
+        eff = draw(st.sampled_from(bases))
+        for _ in range(draw(st.integers(0, 3))):
+            eff = math.nextafter(eff, math.inf)
+        return eff
+
+    jobs = [JobSpec(f"j{k}", draw(st.floats(0.1, 20.0))) for k in range(draw(st.integers(1, 3)))]
+    players = [
+        Player(f"P{i}", {job.job_id: efficiency() for job in jobs})
+        for i in range(draw(st.integers(1, 8)))
+    ]
+    return EconomyConfig(
+        players=players,
+        jobs=jobs,
+        demand={(p.player_id, j.job_id): draw(st.integers(0, 3)) for p in players for j in jobs},
+        conversion=draw(st.floats(0.37, 3.0)),
+        price_quantum=draw(st.floats(0.01, 1.0)),
+    )
+
+
+def ranked_offers(config):
+    """Every seller's offer, in the order buyers take them."""
+    return sorted(
+        all_offers(config),
+        key=lambda o: (o.job, o.price, config.cost(o.seller, o.job), o.seller),
+    )
+
+
+@given(config=economies())
+@settings(max_examples=300, deadline=None)
+def test_post_offers_matches_all_sellers_oracle(config):
+    """The first two offers per job of every seller priced against the others."""
+    ranked = ranked_offers(config)
+    expected = []
+    for jid in config.job_ids():
+        expected += [o for o in ranked if o.job == jid][:2]
+    assert post_offers(config) == expected
+
+
+@given(
+    config=economies(),
+    initial_money=st.floats(0.0, 100.0),
+    rounds=st.integers(1, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_run_market_matches_every_offer_oracle(config, initial_money, rounds):
+    """Every offer, ranked, gives the same ledgers and reports as the two
+    posted per job; small budgets exercise forced self-production."""
+    state = MarketState.from_config(config, initial_money)
+    offers = ranked_offers(config)
+    reports = []
+    for _ in range(rounds):
+        state, report = execute_round(config, state, offers)
+        reports.append(report)
+    assert run_market(config, rounds, initial_money) == (state, reports)
 
 
 @pytest.mark.parametrize(
@@ -155,7 +268,7 @@ def test_explicit_zero_money_starts_at_zero(golden):
     cfg = dataclasses.replace(golden, players=[p1, p2, dataclasses.replace(p3, money=0.0)])
     state = MarketState.from_config(cfg, initial_money=100.0)
     assert state.money == {"P1": 100.0, "P2": 100.0, "P3": 0.0}
-    _, report = execute_round(cfg, state)
+    _, report = execute_round(cfg, state, post_offers(cfg))
     assert report.round == 1
     assert report.n_forced == 2  # P3 has nothing to buy with
 

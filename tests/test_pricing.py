@@ -33,7 +33,7 @@ def scan_max_profit(break_even: float, density: PriceDensity, quantum: float) ->
 
 
 def test_build_density_examples():
-    d = build_price_density([5, 10, 10], exclude=0)
+    d = build_price_density([10, 10])
     assert d.atoms == ((10, 2),)
     assert d.p_max == 10
 
@@ -119,7 +119,6 @@ def test_no_trade_witness():
 @settings(max_examples=200)
 def test_normalization(costs):
     assert total_mass(build_price_density(costs)) == len(costs)
-    assert total_mass(build_price_density(costs, exclude=0)) == len(costs) - 1
 
 
 @given(costs=grid_costs, posted=st.integers(0, 220).map(lambda k: k * 0.5))

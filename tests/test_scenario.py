@@ -279,6 +279,23 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         ),
         ("conversion: .inf", "conversion must be"),
         ("players: []", "players must not be empty"),
+        (
+            "players: [{player_id: P1, efficiencies: {x: 1.0e-320, y: 1.0}}]",
+            "cost or break-even price of job 'x' is not finite",
+        ),
+        ("conversion: 1.0e308", "cost or break-even price of job 'x' is not finite"),
+        (
+            "jobs: [{job_id: x, workload: 1.0e308}, {job_id: y, workload: 10.0}]\n"
+            "players: [{player_id: P1, efficiencies: {x: 0.5, y: 1.0}}]",
+            "cost or break-even price of job 'x' is not finite",
+        ),
+        (f"demand: {10**308}", "total demand times the highest cost"),
+        ("conversion: 1.0e300\ndemand: 10000000000", "total demand times the highest cost"),
+        (
+            "jobs: [{job_id: x, workload: 1.0e308}, {job_id: y, workload: 1.0e308}]\n"
+            "players: [{player_id: P1, efficiencies: {x: 1.0, y: 1.0}}]",
+            "summed over the jobs",
+        ),
     ],
     ids=[
         "missing-efficiency",
@@ -289,13 +306,21 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         "params-negative",
         "conversion-inf",
         "no-players",
+        "cost-overflow",
+        "break-even-overflow",
+        "workload-overflow",
+        "demand-overflow",
+        "money-overflow",
+        "jobs-sum-overflow",
     ],
 )
 def test_cli_every_config_error_exits_2(tmp_path, capsys, snippet, message):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump(golden_with(snippet)))
-    assert main([str(cfg), "-o", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main([str(cfg), "-o", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_cli_negative_seed_exits_2_before_writing(tmp_path, capsys):
