@@ -24,7 +24,6 @@ from .core import (
     Player,
     autarky_energy,
     break_even_price,
-    energy_cost,
 )
 from .market import (
     MarketState,

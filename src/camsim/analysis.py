@@ -51,17 +51,14 @@ def pareto_tail_fit(wealths: list[float], tail_fraction: float) -> float:
 
 def best_margins(config: EconomyConfig) -> dict[str, float]:
     """Each player's best cost edge: max over jobs of mean population cost
-    for the job minus the player's own cost."""
-    players = config.player_ids()
-    jobs = config.job_ids()
-    mean_cost = {
-        jid: math.fsum(config.cost(pid, jid) for pid in players) / len(players)
-        for jid in jobs
-    }
-    return {
-        pid: max(mean_cost[jid] - config.cost(pid, jid) for jid in jobs)
-        for pid in players
-    }
+    for the job minus the player's own cost.
+
+    Each job's mean is the exact ``math.fsum`` of its cost column over the
+    number of players; the edges are one array expression over the table.
+    """
+    costs = config.costs
+    means = np.array([math.fsum(column) / len(costs) for column in costs.T])
+    return dict(zip(config.player_ids(), (means - costs).max(axis=1).tolist()))
 
 
 def _ranks(x: list[float]) -> np.ndarray:

@@ -36,16 +36,11 @@ class Assignment:
 def cost_matrix(config: EconomyConfig) -> np.ndarray:
     """Energy to cover each job's full demand, per candidate producer.
 
-    Rows follow sorted job_ids, columns sorted player_ids.
+    Rows follow sorted job_ids, columns sorted player_ids: each job's total
+    demand, as a float, times the config's cost column for that job.
     """
-    jobs = config.job_ids()
-    players = config.player_ids()
-    out = np.empty((len(jobs), len(players)))
-    for r, jid in enumerate(jobs):
-        d = config.total_demand(jid)
-        for c, pid in enumerate(players):
-            out[r, c] = d * config.cost(pid, jid)
-    return out
+    totals = [float(config.total_demand(jid)) for jid in config.job_ids()]
+    return np.array(totals)[:, None] * config.costs.T
 
 
 def brute_force_min_assignment(

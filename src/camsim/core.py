@@ -6,14 +6,18 @@ matrix. Executing one unit of a job costs ``workload / efficiency`` energy
 units; the lowest price a producer can post without losing is that cost
 times a global money<->energy conversion rate.
 
-Everything here is a pure value-level function: no shared state, safe to
-call concurrently.
+An ``EconomyConfig`` tabulates its costs once, when it is built: every
+per-unit cost, each job's total demand and the autarky energy. Everything
+else reads that table. The functions here are pure value-level functions:
+no shared state, safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class CapacityError(RuntimeError):
@@ -64,6 +68,14 @@ class EconomyConfig:
     ``demand`` maps ``(player_id, job_id)`` to integer units wanted per
     round. ``conversion`` is the global currency-per-energy rate;
     ``price_quantum`` is the smallest representable price step.
+
+    Building a config checks it and tabulates it once: ``costs`` is a
+    read-only players x jobs array of ``workload / efficiency``, rows in
+    sorted player_id order and columns in sorted job_id order, and the ids,
+    each job's total demand and the autarky energy are stored beside it.
+    ``round_bound`` is the most one round can move into any ledger, in
+    energy or money. The table is never updated: to change an economy,
+    build a new config with ``dataclasses.replace``, never mutate one.
     """
 
     players: list[Player]
@@ -85,48 +97,58 @@ class EconomyConfig:
             raise ValueError("job_ids must be unique")
         self._players = {p.player_id: p for p in self.players}
         self._jobs = {j.job_id: j for j in self.jobs}
-        for pid, jid in self.demand:
+        # Row and column of each id in the cost table, in sorted id order.
+        self._row = {pid: r for r, pid in enumerate(sorted(ids))}
+        self._col = {jid: c for c, jid in enumerate(sorted(job_ids))}
+        self._totals = dict.fromkeys(self._col, 0)
+        for (pid, jid), units in self.demand.items():
             if pid not in self._players:
                 raise ValueError(f"demand references unknown player {pid!r}")
             if jid not in self._jobs:
                 raise ValueError(f"demand references unknown job {jid!r}")
-        for key, units in self.demand.items():
             if units < 0 or units != int(units):
-                raise ValueError(f"demand for {key} must be a nonnegative integer")
+                raise ValueError(f"demand for {(pid, jid)} must be a nonnegative integer")
+            self._totals[jid] += units
         for p in self.players:
             for jid in self._jobs:
                 if jid not in p.efficiencies:
                     raise ValueError(
                         f"player {p.player_id!r} has no efficiency for job {jid!r}"
                     )
+        efficiencies = np.array(
+            [[self._players[p].efficiencies[j] for j in self._col] for p in self._row],
+            dtype=float,
+        ).reshape(len(self._row), len(self._col))
+        workloads = np.array([self._jobs[j].workload for j in self._col], dtype=float)
+        with np.errstate(over="ignore"):
+            self.costs = workloads / efficiencies
+            highest = self.costs * max(self.conversion, 1.0)
+        self.costs.flags.writeable = False
+        bad = np.argwhere(~np.isfinite(highest))
+        if len(bad):
+            r, c = bad[0]
+            raise ValueError(
+                f"player {self.player_ids()[r]!r}: cost or break-even price of job"
+                f" {self.job_ids()[c]!r} is not finite"
+            )
         # A round moves at most each job's total demand times its highest
         # per-unit cost in energy, or break-even in money; summed over the
         # jobs, that must be a finite float. An int too large for a float
         # counts as infinite.
-        totals = dict.fromkeys(self._jobs, 0)
-        for (_, jid), units in self.demand.items():
-            totals[jid] += units
-        scale = max(self.conversion, 1.0)
-        bound = 0.0
-        for jid, total in totals.items():
-            highest = 0.0
-            for pid in self._players:
-                cost = self.cost(pid, jid)
-                if not math.isfinite(cost * scale):
-                    raise ValueError(
-                        f"player {pid!r}: cost or break-even price of job {jid!r}"
-                        " is not finite"
-                    )
-                highest = max(highest, cost * scale)
-            try:
-                bound += float(total) * highest
-            except OverflowError:
-                bound = math.inf
-        if not math.isfinite(bound):
+        try:
+            totals = np.array([float(t) for t in self._totals.values()])
+            with np.errstate(over="ignore"):
+                self.round_bound = float(totals @ highest.max(axis=0, initial=0.0))
+        except OverflowError:
+            self.round_bound = math.inf
+        if not math.isfinite(self.round_bound):
             raise ValueError(
                 "total demand times the highest cost or break-even price,"
                 " summed over the jobs, is not finite"
             )
+        self._autarky = math.fsum(
+            units * self.cost(pid, jid) for (pid, jid), units in self.demand.items()
+        )
 
     def player(self, player_id: str) -> Player:
         return self._players[player_id]
@@ -135,32 +157,18 @@ class EconomyConfig:
         return self._jobs[job_id]
 
     def player_ids(self) -> list[str]:
-        return sorted(self._players)
+        return list(self._row)
 
     def job_ids(self) -> list[str]:
-        return sorted(self._jobs)
+        return list(self._col)
 
     def cost(self, player_id: str, job_id: str) -> float:
         """Per-unit energy cost of ``player_id`` executing ``job_id``."""
-        return energy_cost(
-            self._players[player_id].efficiencies[job_id], self._jobs[job_id].workload
-        )
+        return float(self.costs[self._row[player_id], self._col[job_id]])
 
     def total_demand(self, job_id: str) -> int:
         """System-wide per-round demand for one job, in units."""
-        return sum(u for (pid, jid), u in self.demand.items() if jid == job_id)
-
-
-def energy_cost(efficiency: float, workload: float) -> float:
-    """Energy spent executing one unit of a job: workload / efficiency.
-
-    Strictly decreasing in efficiency, strictly increasing in workload.
-    """
-    if not (efficiency > 0 and math.isfinite(efficiency)):
-        raise ValueError(f"efficiency must be finite and > 0, got {efficiency}")
-    if not (workload >= 0 and math.isfinite(workload)):
-        raise ValueError(f"workload must be finite and >= 0, got {workload}")
-    return workload / efficiency
+        return self._totals[job_id]
 
 
 def break_even_price(cost: float, conversion: float) -> float:
@@ -173,9 +181,8 @@ def break_even_price(cost: float, conversion: float) -> float:
 
 
 def autarky_energy(config: EconomyConfig) -> float:
-    """Total system energy per round if every player self-produces all demand."""
-    return math.fsum(
-        units * config.cost(pid, jid)
-        for (pid, jid), units in config.demand.items()
-        if units
-    )
+    """Total system energy per round if every player self-produces all demand.
+
+    The config sums it once, exactly, when it is built; this reads it.
+    """
+    return config._autarky

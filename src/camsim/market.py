@@ -18,7 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .core import EconomyConfig, autarky_energy, break_even_price
+from .core import EconomyConfig, autarky_energy
 from .pricing import build_price_density, optimal_price
 
 DEFAULT_ENDOWMENT = 1e9
@@ -97,6 +97,24 @@ class MarketState:
         )
 
 
+def check_ledger_bound(config: EconomyConfig, state: MarketState, rounds: int) -> None:
+    """Raise ValueError if ``rounds`` rounds from ``state`` could overflow a ledger.
+
+    One round moves at most ``config.round_bound`` into any ledger, so after
+    ``rounds`` of them no ledger exceeds that many bounds plus the largest
+    starting balance.
+    """
+    try:
+        top = rounds * config.round_bound + max(state.money.values(), default=0.0)
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise ValueError(
+            f"{rounds} rounds times the most one round moves, plus the largest"
+            " starting balance, is not finite"
+        )
+
+
 def post_offers(config: EconomyConfig) -> list[Offer]:
     """Per job, in job_id order, the first two offers in the order buyers take them.
 
@@ -109,12 +127,12 @@ def post_offers(config: EconomyConfig) -> list[Offer]:
     """
     players = config.player_ids()
     offers: list[Offer] = []
-    for jid in config.job_ids():
-        costs = [config.cost(pid, jid) for pid in players]
-        break_evens = [break_even_price(c, config.conversion) for c in costs]
+    for c, jid in enumerate(config.job_ids()):
+        costs = config.costs[:, c]
+        break_evens = (config.conversion * costs).tolist()
         density = build_price_density(break_evens)
         ranked = []
-        for pid, cost, break_even in zip(players, costs, break_evens):
+        for pid, cost, break_even in zip(players, costs.tolist(), break_evens):
             sol = optimal_price(break_even, density, config.price_quantum)
             if sol.profit > 0:
                 ranked.append((sol.price, cost, pid))
@@ -151,12 +169,12 @@ def execute_round(
     n_trades = 0
     n_forced = 0
 
-    for buyer in config.player_ids():
-        for jid in config.job_ids():
+    jobs = config.job_ids()
+    for buyer, self_costs in zip(config.player_ids(), config.costs.tolist()):
+        for jid, self_cost in zip(jobs, self_costs):
             units = config.demand.get((buyer, jid), 0)
             if not units:
                 continue
-            self_cost = config.cost(buyer, jid)
             best = next(
                 (o for o in best_offers.get(jid, ()) if o.seller != buyer), None
             )
@@ -258,10 +276,14 @@ def run_market(
     initial_money: float = DEFAULT_ENDOWMENT,
     record_detail: bool = True,
 ) -> tuple[MarketState, list[RoundReport]]:
-    """Run the market loop for a number of rounds from a fresh state."""
+    """Run the market loop for a number of rounds from a fresh state.
+
+    Raises ValueError when the rounds could overflow a ledger.
+    """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     state = MarketState.from_config(config, initial_money)
+    check_ledger_bound(config, state, rounds)
     offers = post_offers(config)
     reports: list[RoundReport] = []
     for _ in range(rounds):

@@ -24,11 +24,12 @@ import yaml
 
 from .analysis import system_savings_series
 from .assignment import optimal_assignment
-from .core import EconomyConfig, JobSpec, Player, autarky_energy, break_even_price
+from .core import EconomyConfig, JobSpec, Player, autarky_energy
 from .market import (
     DEFAULT_ENDOWMENT,
     MarketState,
     RoundReport,
+    check_ledger_bound,
     execute_round,
     post_offers,
 )
@@ -445,12 +446,9 @@ def _savings_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) -
 
 def _density_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) -> Rows:
     rows, pf = [], _price_format(sc)
-    for jid in config.job_ids():
-        be = [
-            break_even_price(config.cost(pid, jid), config.conversion)
-            for pid in config.player_ids()
-        ]
-        atoms = build_price_density(be).atoms
+    for c, jid in enumerate(config.job_ids()):
+        break_evens = (config.conversion * config.costs[:, c]).tolist()
+        atoms = build_price_density(break_evens).atoms
         rows += [(jid, format(price, pf), str(mass)) for price, mass in atoms]
     return rows
 
@@ -502,10 +500,13 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> dict[str, Any]:
     (``reports``), the economy (``config``), and the per-round energy of
     the optimal assignment and of autarky. Equal (config, seed) give
     byte-identical outputs. An economy the config cannot describe, such as
-    a player without an efficiency for some job, raises ConfigError.
+    a player without an efficiency for some job, or one whose ledgers could
+    overflow a float within the rounds, raises ConfigError.
     """
     try:
         config = build_economy(sc)
+        state = MarketState.from_config(config, sc.initial_money)
+        check_ledger_bound(config, state, sc.rounds)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
     out_dir = Path(out_dir)
@@ -513,7 +514,6 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> dict[str, Any]:
     _, assignment_energy = optimal_assignment(config)
     autarky = autarky_energy(config)
 
-    state = MarketState.from_config(config, sc.initial_money)
     offers = post_offers(config)
     history: History = []
     for _ in range(sc.rounds):

@@ -6,6 +6,8 @@ time, so the faster code in ``camsim`` can be held to it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from camsim import (
@@ -106,3 +108,45 @@ def all_offers(config: EconomyConfig) -> list[Offer]:
             if sol.profit > 0:
                 offers.append(Offer(seller=pid, job=jid, price=sol.price))
     return offers
+
+
+def cost_by_cell(config: EconomyConfig, pid: str, jid: str) -> float:
+    """Per-unit energy cost from its definition: workload / efficiency."""
+    return config.job(jid).workload / config.player(pid).efficiencies[jid]
+
+
+def total_demand_by_scan(config: EconomyConfig, jid: str) -> int:
+    return sum(u for (_, j), u in config.demand.items() if j == jid)
+
+
+def autarky_by_cell(config: EconomyConfig) -> float:
+    return math.fsum(
+        units * cost_by_cell(config, pid, jid)
+        for (pid, jid), units in config.demand.items()
+        if units
+    )
+
+
+def cost_matrix_by_cell(config: EconomyConfig) -> np.ndarray:
+    """Jobs x players: each job's total demand times each producer's cost."""
+    jobs = config.job_ids()
+    players = config.player_ids()
+    out = np.empty((len(jobs), len(players)))
+    for r, jid in enumerate(jobs):
+        d = total_demand_by_scan(config, jid)
+        for c, pid in enumerate(players):
+            out[r, c] = d * cost_by_cell(config, pid, jid)
+    return out
+
+
+def best_margins_by_cell(config: EconomyConfig) -> dict[str, float]:
+    players = config.player_ids()
+    jobs = config.job_ids()
+    mean_cost = {
+        jid: math.fsum(cost_by_cell(config, pid, jid) for pid in players) / len(players)
+        for jid in jobs
+    }
+    return {
+        pid: max(mean_cost[jid] - cost_by_cell(config, pid, jid) for jid in jobs)
+        for pid in players
+    }

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,38 +11,84 @@ from camsim import (
     Player,
     autarky_energy,
     break_even_price,
-    energy_cost,
+)
+from camsim.analysis import best_margins
+from camsim.assignment import cost_matrix
+from tests.oracles import (
+    autarky_by_cell,
+    best_margins_by_cell,
+    cost_by_cell,
+    cost_matrix_by_cell,
+    total_demand_by_scan,
 )
 
 finite_pos = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 
 
+def one_cell(efficiency: float, workload: float) -> EconomyConfig:
+    return EconomyConfig(
+        players=[Player("P1", {"x": efficiency})], jobs=[JobSpec("x", workload)]
+    )
+
+
+def cost(efficiency: float, workload: float) -> float:
+    return one_cell(efficiency, workload).cost("P1", "x")
+
+
 def test_energy_cost_examples():
-    assert energy_cost(2, 10) == 5
-    assert energy_cost(1, 10) == 10
-    assert energy_cost(4, 10) == 2.5
-    assert energy_cost(4, 10) < energy_cost(2, 10)
-
-
-def test_energy_cost_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        energy_cost(0, 10)
-    with pytest.raises(ValueError):
-        energy_cost(-1, 10)
-    with pytest.raises(ValueError):
-        energy_cost(1, -10)
-    with pytest.raises(ValueError):
-        energy_cost(math.inf, 10)
+    assert cost(2, 10) == 5
+    assert cost(1, 10) == 10
+    assert cost(4, 10) == 2.5
+    assert cost(4, 10) < cost(2, 10)
 
 
 def test_energy_cost_zero_workload_is_free():
     # degenerate free-creation limit used by the no-trade theorem
-    assert energy_cost(3, 0) == 0
+    assert cost(3, 0) == 0
 
 
 @given(eps=finite_pos, w=finite_pos, k=finite_pos)
 def test_energy_cost_scaling_law(eps, w, k):
-    assert math.isclose(energy_cost(k * eps, w), energy_cost(eps, w) / k, rel_tol=1e-12)
+    assert math.isclose(cost(k * eps, w), cost(eps, w) / k, rel_tol=1e-12)
+
+
+efficiencies = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=1e-300, max_value=1e-290),
+    st.floats(min_value=1e290, max_value=1e300),
+)
+workloads = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3))
+
+
+@st.composite
+def economies(draw) -> EconomyConfig:
+    """Off-grid, tiny and huge efficiencies, zero workloads, zero demand cells."""
+    n = draw(st.integers(1, 5))
+    jobs = [JobSpec(f"j{k}", draw(workloads)) for k in range(draw(st.integers(1, 4)))]
+    players = [
+        Player(f"P{i}", {j.job_id: draw(efficiencies) for j in jobs}) for i in range(n)
+    ]
+    cells = [(p.player_id, j.job_id) for p in players for j in jobs]
+    demand = draw(st.dictionaries(st.sampled_from(cells), st.integers(0, 5)))
+    return EconomyConfig(players=players, jobs=jobs, demand=demand)
+
+
+@given(config=economies())
+def test_table_matches_per_cell_definitions(config):
+    for pid in config.player_ids():
+        for jid in config.job_ids():
+            assert type(config.cost(pid, jid)) is float
+            assert config.cost(pid, jid) == cost_by_cell(config, pid, jid)
+    for jid in config.job_ids():
+        assert config.total_demand(jid) == total_demand_by_scan(config, jid)
+    assert autarky_energy(config) == autarky_by_cell(config)
+    assert np.array_equal(cost_matrix(config), cost_matrix_by_cell(config))
+    assert best_margins(config) == best_margins_by_cell(config)
+    ids, jobs = config.player_ids(), config.job_ids()
+    ids.append("ghost")
+    jobs.clear()
+    assert "ghost" not in config.player_ids()
+    assert config.job_ids() == sorted(j.job_id for j in config.jobs)
 
 
 def test_break_even_examples():
@@ -105,10 +152,12 @@ def test_autarky_matches_brute_force_sum(golden):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        Player("P1", {"x": 0.0})
-    with pytest.raises(ValueError):
-        JobSpec("x", -1.0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Player("P1", {"x": bad})
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            JobSpec("x", bad)
     with pytest.raises(ValueError):
         EconomyConfig(
             players=[Player("P1", {"x": 1.0})],

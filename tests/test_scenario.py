@@ -296,6 +296,13 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             "players: [{player_id: P1, efficiencies: {x: 1.0, y: 1.0}}]",
             "summed over the jobs",
         ),
+        (
+            "jobs: [{job_id: x, workload: 1.0e306}]\n"
+            "players: [{player_id: P1, efficiencies: {x: 1.0}},"
+            " {player_id: P2, efficiencies: {x: 2.0}}]\n"
+            "rounds: 300",
+            "300 rounds times the most one round moves",
+        ),
     ],
     ids=[
         "missing-efficiency",
@@ -312,6 +319,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         "demand-overflow",
         "money-overflow",
         "jobs-sum-overflow",
+        "ledger-overflow",
     ],
 )
 def test_cli_every_config_error_exits_2(tmp_path, capsys, snippet, message):
@@ -321,6 +329,19 @@ def test_cli_every_config_error_exits_2(tmp_path, capsys, snippet, message):
     assert main([str(cfg), "-o", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+def test_cli_check_variants_stay_within_the_ledger_bound(tmp_path):
+    # One round of 1e308 fits a float, three do not; the no-trade variants
+    # run no more rounds than the scenario.
+    cfg = tmp_path / "one-round.yaml"
+    snippet = (
+        "jobs: [{job_id: x, workload: 1.0e308}]\n"
+        "players: [{player_id: P1, efficiencies: {x: 1.0}}]\n"
+        "rounds: 1"
+    )
+    cfg.write_text(yaml.safe_dump(golden_with(snippet)))
+    assert main([str(cfg), "-o", str(tmp_path / "out"), "--check"]) == 0
 
 
 def test_cli_negative_seed_exits_2_before_writing(tmp_path, capsys):
