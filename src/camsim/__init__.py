@@ -7,7 +7,8 @@ assignment, price-density pricing, a round-based market with zero-sum
 ledgers, wealth-distribution analysis, and a mean-reverting model of
 noisy price estimation. Checks that only the tests use (assignment net
 energy and stationarity, vectorized buyer counts, density mass, the
-no-trade witness, every seller's offer) live in ``tests/oracles.py``.
+no-trade witness, pricing by a per-candidate scan, every seller's offer)
+live in ``tests/oracles.py``.
 """
 
 from .analysis import (
@@ -41,6 +42,7 @@ from .pricing import (
     build_price_density,
     buyer_count,
     optimal_price,
+    optimal_prices,
 )
 from .scenario import ConfigError, ScenarioConfig, load_config, run_scenario
 from .walk import (

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .core import EconomyConfig, autarky_energy
-from .pricing import build_price_density, optimal_price
+from .pricing import build_price_density, optimal_prices
 
 DEFAULT_ENDOWMENT = 1e9
 
@@ -119,11 +119,14 @@ def post_offers(config: EconomyConfig) -> list[Offer]:
     """Per job, in job_id order, the first two offers in the order buyers take them.
 
     Every seller is priced against the density of all the job's break-evens.
-    Its own atom sits at its break-even, where optimal_price neither posts
+    Its own atom sits at its break-even, where optimal_prices neither posts
     nor counts a buyer, so the density of the others would give the same
     price. Of the offers with positive profit, the first two by (price,
     seller cost, seller id) are kept: a buyer takes the first offer from
     someone else, which is one of these two.
+
+    Per job, optimal_prices makes one pass over the density's atoms, then
+    one argmax per seller over the candidate prices above its break-even.
     """
     players = config.player_ids()
     offers: list[Offer] = []
@@ -131,11 +134,12 @@ def post_offers(config: EconomyConfig) -> list[Offer]:
         costs = config.costs[:, c]
         break_evens = (config.conversion * costs).tolist()
         density = build_price_density(break_evens)
-        ranked = []
-        for pid, cost, break_even in zip(players, costs.tolist(), break_evens):
-            sol = optimal_price(break_even, density, config.price_quantum)
-            if sol.profit > 0:
-                ranked.append((sol.price, cost, pid))
+        sols = optimal_prices(break_evens, density, config.price_quantum)
+        ranked = [
+            (sol.price, cost, pid)
+            for pid, cost, sol in zip(players, costs.tolist(), sols)
+            if sol.profit > 0
+        ]
         offers += [Offer(pid, jid, price) for price, _, pid in heapq.nsmallest(2, ranked)]
     return offers
 

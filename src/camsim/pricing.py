@@ -7,12 +7,19 @@ is the total mass strictly above it, and a seller's best posting always
 sits one price quantum below some atom. The degenerate all-atoms-at-zero
 density makes every positive posting find zero buyers, which is what
 kills trade when job execution costs nothing.
+
+The candidates (each atom less one quantum) and their buyer counts depend
+only on the density, so ``optimal_prices`` tabulates them in one pass over
+the A atoms and then prices each seller with one argmax over the
+candidates above its break-even: O(A) per seller, O(N·A) per job.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -65,10 +72,10 @@ def buyer_count(density: PriceDensity, posted: float) -> int:
     return sum(mass for price, mass in density.atoms if price > posted)
 
 
-def optimal_price(
-    break_even: float, density: PriceDensity, quantum: float
-) -> PriceSolution:
-    """Profit-maximizing posting over quantized prices.
+def optimal_prices(
+    break_evens: list[float], density: PriceDensity, quantum: float
+) -> list[PriceSolution]:
+    """Profit-maximizing posting over quantized prices, for each break-even.
 
     Because buying requires a strict improvement and the density is atomic,
     the profit maximum over the quantized grid is always attained one
@@ -78,17 +85,32 @@ def optimal_price(
     """
     if not (quantum > 0 and math.isfinite(quantum)):
         raise ValueError(f"quantum must be finite and > 0, got {quantum}")
-    if break_even < 0:
-        raise ValueError(f"break_even must be >= 0, got {break_even}")
-    best: PriceSolution | None = None
-    for atom_price, _ in density.atoms:
-        cand = atom_price - quantum
-        if cand <= break_even:
-            continue
-        buyers = buyer_count(density, cand)
-        gain = (cand - break_even) * buyers
-        if best is None or gain > best.profit:
-            best = PriceSolution(cand, buyers, gain)
-    if best is None or best.profit <= 0:
-        return PriceSolution(break_even, buyer_count(density, break_even), 0.0)
-    return best
+    for b in break_evens:
+        if not b >= 0:
+            raise ValueError(f"break_even must be >= 0, got {b}")
+    atoms = np.array([price for price, _ in density.atoms], dtype=float)
+    masses = np.array([mass for _, mass in density.atoms], dtype=np.int64)
+    # above[i]: the mass of atoms[i:], so the buyers at a price p are
+    # above[searchsorted(atoms, p, side="right")].
+    above = np.append(np.cumsum(masses[::-1])[::-1], 0)
+    cands = atoms - quantum  # non-decreasing, as the atoms increase
+    buyers = above[np.searchsorted(atoms, cands, side="right")]
+    firsts = np.searchsorted(cands, break_evens, side="right").tolist()
+    at_break_even = above[np.searchsorted(atoms, break_evens, side="right")].tolist()
+    out = []
+    for b, k, n in zip(break_evens, firsts, at_break_even):
+        gains = (cands[k:] - b) * buyers[k:]
+        i = int(gains.argmax()) if gains.size else -1  # first maximum
+        if i >= 0 and gains[i] > 0:
+            j = k + i
+            out.append(PriceSolution(float(cands[j]), int(buyers[j]), float(gains[i])))
+        else:
+            out.append(PriceSolution(b, n, 0.0))
+    return out
+
+
+def optimal_price(
+    break_even: float, density: PriceDensity, quantum: float
+) -> PriceSolution:
+    """``optimal_prices`` for one seller."""
+    return optimal_prices([break_even], density, quantum)[0]

@@ -15,6 +15,7 @@ from camsim import (
     EconomyConfig,
     Offer,
     PriceDensity,
+    PriceSolution,
     break_even_price,
     build_price_density,
     buyer_count,
@@ -90,6 +91,32 @@ def no_trade_witness(
     return True
 
 
+def optimal_price_by_scan(
+    break_even: float, density: PriceDensity, quantum: float
+) -> PriceSolution:
+    """optimal_price by its definition: try every candidate, count its buyers.
+
+    Each candidate is one quantum below an atom; the first of the highest
+    gains wins, and no positive gain posts the break-even with profit 0.
+    """
+    if not (quantum > 0 and math.isfinite(quantum)):
+        raise ValueError(f"quantum must be finite and > 0, got {quantum}")
+    if break_even < 0:
+        raise ValueError(f"break_even must be >= 0, got {break_even}")
+    best: PriceSolution | None = None
+    for atom_price, _ in density.atoms:
+        cand = atom_price - quantum
+        if cand <= break_even:
+            continue
+        buyers = buyer_count(density, cand)
+        gain = (cand - break_even) * buyers
+        if best is None or gain > best.profit:
+            best = PriceSolution(cand, buyers, gain)
+    if best is None or best.profit <= 0:
+        return PriceSolution(break_even, buyer_count(density, break_even), 0.0)
+    return best
+
+
 def all_offers(config: EconomyConfig) -> list[Offer]:
     """One offer per (player, job) with positive expected profit.
 
@@ -104,7 +131,7 @@ def all_offers(config: EconomyConfig) -> list[Offer]:
         ]
         for i, pid in enumerate(players):
             density = build_price_density(break_evens[:i] + break_evens[i + 1 :])
-            sol = optimal_price(break_evens[i], density, config.price_quantum)
+            sol = optimal_price_by_scan(break_evens[i], density, config.price_quantum)
             if sol.profit > 0:
                 offers.append(Offer(seller=pid, job=jid, price=sol.price))
     return offers

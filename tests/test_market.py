@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,37 @@ def test_post_offers_matches_all_sellers_oracle(config):
     for jid in config.job_ids():
         expected += [o for o in ranked if o.job == jid][:2]
     assert post_offers(config) == expected
+
+
+def test_post_offers_prices_without_per_candidate_rescans(monkeypatch):
+    """300 players x 3 jobs, priced with buyer_count unavailable.
+
+    A per-candidate buyer_count rescan makes posting cubic in the players
+    per job; the offers must come from the density's suffix counts alone.
+    """
+    rng = random.Random(7)
+    jobs = [JobSpec(f"j{k}", w) for k, w in enumerate((10.0, 5.5, 2.25))]
+    players = [
+        Player(f"P{i:03d}", {job.job_id: rng.uniform(0.25, 4.0) for job in jobs})
+        for i in range(300)
+    ]
+    config = EconomyConfig(
+        players=players,
+        jobs=jobs,
+        demand={(p.player_id, j.job_id): 1 for p in players for j in jobs},
+        conversion=1.1,
+        price_quantum=0.01,
+    )
+    expected = post_offers(config)
+
+    def rescan(*args, **kwargs):
+        raise AssertionError("buyer_count called while posting offers")
+
+    monkeypatch.setattr("camsim.pricing.buyer_count", rescan)
+    offers = post_offers(config)
+    assert offers == expected
+    assert len(offers) == 6
+    assert all(type(o.price) is float for o in offers)
 
 
 @given(

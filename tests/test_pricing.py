@@ -1,10 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camsim import PriceDensity, build_price_density, buyer_count, optimal_price
-from tests.oracles import buyer_counts, no_trade_witness, total_mass
+from camsim import (
+    PriceDensity,
+    build_price_density,
+    buyer_count,
+    optimal_price,
+    optimal_prices,
+)
+from tests.oracles import buyer_counts, no_trade_witness, optimal_price_by_scan, total_mass
 
 # costs on the quantum grid so the candidate search is exactly comparable
 # to a grid scan
@@ -96,17 +104,42 @@ def test_optimal_price_examples():
     assert sol.price == 0
 
 
+def bits(sol):
+    """A solution's fields with their types, floats as exact hex strings."""
+    return tuple(
+        (type(v), v.hex() if isinstance(v, float) else v)
+        for v in (sol.price, sol.buyers, sol.profit)
+    )
+
+
 def test_optimal_price_tie_breaks_low():
     # profit 4 at both candidates: (2-0)*2 and (4-0)*1; lower price wins
     d = PriceDensity(((3.0, 1), (5.0, 1)))
     sol = optimal_price(0.0, d, 1.0)
     assert sol.profit == 4.0 == scan_max_profit(0.0, d, 1.0)
     assert sol.price == 2.0
+    assert bits(sol) == bits(optimal_price_by_scan(0.0, d, 1.0))
+
+
+def test_optimal_price_break_even_above_every_candidate_posts_nothing():
+    d = PriceDensity(((3.0, 1), (5.0, 2)))
+    for break_even in (4.0, 4.5, 5.0, 7.0):
+        sol = optimal_price(break_even, d, 1.0)
+        assert bits(sol) == bits(optimal_price_by_scan(break_even, d, 1.0))
+        assert (sol.price, sol.profit) == (break_even, 0.0)
+    assert optimal_price(4.0, d, 1.0).buyers == 2
+    assert optimal_price(5.0, d, 1.0).buyers == 0
 
 
 def test_optimal_price_rejects_bad_quantum():
     with pytest.raises(ValueError):
         optimal_price(1.0, PriceDensity(()), 0.0)
+
+
+@pytest.mark.parametrize("break_even", [-1.0, math.nan])
+def test_optimal_prices_rejects_bad_break_even(break_even):
+    with pytest.raises(ValueError):
+        optimal_prices([1.0, break_even], PriceDensity(((2.0, 1),)), 0.5)
 
 
 def test_no_trade_witness():
@@ -148,3 +181,31 @@ def test_optimal_price_matches_scan_oracle(costs, be):
     sol = optimal_price(float(be), d, 0.5)
     assert sol.profit == scan_max_profit(float(be), d, 0.5)
     assert sol.profit == (sol.price - be) * sol.buyers
+
+
+# Off-grid atoms, atoms on a half grid (where gains tie), atoms of 1e17 and
+# up (where atom - quantum can round back to the atom itself), and mixtures.
+atom_kinds = [
+    st.floats(0, 100),
+    st.integers(0, 8).map(lambda k: k * 0.5),
+    st.floats(1e17, 1e20),
+]
+atom_lists = st.one_of(
+    *(st.lists(kind, max_size=20) for kind in atom_kinds),
+    st.lists(st.one_of(*atom_kinds), max_size=20),
+)
+quanta = st.one_of(st.floats(1e-3, 10), st.sampled_from([0.25, 0.5, 1.0]))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_optimal_prices_match_the_scan_bit_for_bit(data):
+    d = build_price_density(data.draw(atom_lists))
+    quantum = data.draw(quanta)
+    on_atoms = [st.sampled_from([p for p, _ in d.atoms])] if d.atoms else []
+    break_evens = data.draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(0, 1e21), *on_atoms), max_size=10)
+    )
+    expected = [bits(optimal_price_by_scan(b, d, quantum)) for b in break_evens]
+    assert [bits(s) for s in optimal_prices(break_evens, d, quantum)] == expected
+    assert [bits(optimal_price(b, d, quantum)) for b in break_evens] == expected
