@@ -1,7 +1,8 @@
 """Command-line entry point: run a scenario file, optionally verify it.
 
 Exit codes: 0 success, 1 property violation in --check mode, 2 config
-problems, 3 runtime capacity errors (reported as a JSON record on stderr).
+problems or an output directory that cannot be written, 3 runtime capacity
+errors (reported as a JSON record on stderr).
 """
 
 from __future__ import annotations
@@ -12,23 +13,18 @@ import sys
 from dataclasses import replace
 
 from .core import CapacityError, EconomyConfig
-from .market import conservation_check, run_market
+from .market import RoundReport, conservation_check, run_market
 from .scenario import ConfigError, load_config, parse_mapping, run_scenario, to_mapping
 
 
-def _check_suite(result: dict, verbose: bool) -> list[str]:
-    """Conservation on every simulated round plus the no-trade degeneracies."""
-    failures: list[str] = []
-    config: EconomyConfig = result["config"]
-    for report in result["reports"]:
-        if not conservation_check(report, config):
-            failures.append(f"conservation violated in round {report.round}")
+def _no_trade_failures(config: EconomyConfig, rounds: int) -> list[str]:
+    """The no-trade degeneracies: without a conserved cost, or without
+    comparative advantage, nobody trades.
 
-    # Without a conserved cost, or without comparative advantage, nobody
-    # trades. Both variants start every player at the default endowment.
-    # A trade in any round means one in the first, as offers never change.
-    # No more rounds than the scenario ran keeps their ledgers finite.
-    rounds = min(3, len(result["reports"]))
+    Both variants start every player at the default endowment. A trade in
+    any round means one in the first, as offers never change. No more
+    rounds than the scenario ran keeps their ledgers finite.
+    """
     players = [replace(p, money=None) for p in config.players]
     shared = config.players[0].efficiencies
     variants = {
@@ -39,13 +35,11 @@ def _check_suite(result: dict, verbose: bool) -> list[str]:
             config, players=[replace(p, efficiencies=shared) for p in players]
         ),
     }
+    failures = []
     for name, variant in variants.items():
         _, reports = run_market(variant, rounds=rounds, record_detail=False)
         if any(r.n_trades for r in reports):
             failures.append(f"{name} economy executed trades")
-
-    if verbose and not failures:
-        print("check: conservation and no-trade properties hold")
     return failures
 
 
@@ -65,15 +59,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
 
+    failures: list[str] = []
+
+    def check(report: RoundReport, config: EconomyConfig) -> None:
+        if not conservation_check(report, config):
+            failures.append(f"conservation violated in round {report.round}")
+
     try:
         sc = load_config(args.config)
         if args.seed is not None:
             # Back through the rules, so a bad seed fails before any output.
             sc = parse_mapping(to_mapping(sc) | {"master_seed": args.seed}, "--seed")
-        result = run_scenario(sc, args.out)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        result = run_scenario(sc, args.out, check if args.check else None)
     except ConfigError as exc:
         for err in exc.errors:
             print(err, file=sys.stderr)
@@ -82,21 +79,26 @@ def main(argv: list[str] | None = None) -> int:
         json.dump({"error": "capacity", "message": str(exc)}, sys.stderr)
         print(file=sys.stderr)
         return 3
+    except OSError as exc:
+        # A missing config file, or an output directory that cannot be written.
+        print(str(exc), file=sys.stderr)
+        return 2
 
     if args.verbose:
-        total_trades = sum(r.n_trades for r in result["reports"])
-        print(f"rounds: {sc.rounds}  trades: {total_trades}")
+        print(f"rounds: {sc.rounds}  trades: {result['n_trades']}")
         print(f"autarky energy/round: {result['autarky_energy']:.9f}")
         print(f"optimal assignment energy/round: {result['assignment_energy']:.9f}")
         for name, path in sorted(result["paths"].items()):
             print(f"wrote {name}: {path}")
 
     if args.check:
-        failures = _check_suite(result, args.verbose)
+        failures += _no_trade_failures(result["config"], min(3, sc.rounds))
         if failures:
             for f in failures:
                 print(f"check failed: {f}", file=sys.stderr)
             return 1
+        if args.verbose:
+            print("check: conservation and no-trade properties hold")
     return 0
 
 

@@ -69,7 +69,7 @@ class RoundReport:
 
 @dataclass
 class MarketState:
-    """Mutable per-player ledgers evolved by execute_round."""
+    """Per-player ledgers, which execute_round updates in place."""
 
     money: dict[str, float]
     energy_spent: dict[str, float]
@@ -89,11 +89,6 @@ class MarketState:
             money=money,
             energy_spent=dict.fromkeys(ids, 0.0),
             energy_saved=dict.fromkeys(ids, 0.0),
-        )
-
-    def copy(self) -> "MarketState":
-        return MarketState(
-            dict(self.money), dict(self.energy_spent), dict(self.energy_saved), self.round
         )
 
 
@@ -152,6 +147,10 @@ def execute_round(
 ) -> tuple[MarketState, RoundReport]:
     """Run one simultaneous-buying round against posted offers.
 
+    The round updates the ledgers of ``state`` in place and returns that
+    same object with the round's report, so a caller that needs an earlier
+    round's ledgers must read them before the next round.
+
     Pass ``offers`` in the order post_offers returns them: per job, a buyer
     takes the first offer from another player in the order given, buys on a
     strict money improvement, and falls back to self-production otherwise.
@@ -163,8 +162,7 @@ def execute_round(
     for off in offers:
         best_offers.setdefault(off.job, []).append(off)
 
-    new = state.copy()
-    new.round = state.round + 1
+    state.round += 1
     transfers: list[float] = []
     production_energy: list[float] = []
     system_saved: list[float] = []
@@ -187,18 +185,18 @@ def execute_round(
             forced = False
             if buy:
                 total_price = best.price * units
-                if new.money[buyer] < total_price:
+                if state.money[buyer] < total_price:
                     buy = False
                     forced = True
                     n_forced += 1
             if buy:
                 seller_cost = config.cost(best.seller, jid)
-                new.money[buyer] -= total_price
-                new.money[best.seller] += total_price
+                state.money[buyer] -= total_price
+                state.money[best.seller] += total_price
                 transfers.append(-total_price)
                 transfers.append(total_price)
-                new.energy_spent[best.seller] += units * seller_cost
-                new.energy_saved[buyer] += units * (
+                state.energy_spent[best.seller] += units * seller_cost
+                state.energy_saved[buyer] += units * (
                     self_cost - best.price / config.conversion
                 )
                 production_energy.append(units * seller_cost)
@@ -220,7 +218,7 @@ def execute_round(
                     )
             else:
                 energy = units * self_cost
-                new.energy_spent[buyer] += energy
+                state.energy_spent[buyer] += energy
                 production_energy.append(energy)
                 if record_detail:
                     selfs.append(
@@ -228,7 +226,7 @@ def execute_round(
                     )
 
     report = RoundReport(
-        round=new.round,
+        round=state.round,
         trades=tuple(trades),
         self_productions=tuple(selfs),
         n_trades=n_trades,
@@ -238,7 +236,7 @@ def execute_round(
         energy_saved_total=math.fsum(system_saved),
         autarky_energy=autarky_energy(config),
     )
-    return new, report
+    return state, report
 
 
 def conservation_check(report: RoundReport, config: EconomyConfig) -> bool:

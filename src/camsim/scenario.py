@@ -7,6 +7,11 @@ walk. Every random draw derives from the single ``master_seed`` through
 numpy SeedSequence spawn keys: ``(0,)`` for population generation and
 ``(2, i)`` for walk trace ``i`` (the market loop itself draws nothing).
 Identical config bytes therefore give byte-identical output files.
+
+A run is one streaming pass. The per-round outputs (trades, wealth,
+savings) are opened once, and each round's rows are written as the round
+ends, then dropped; the round ledgers are updated in place. Only the
+outputs that do not depend on the rounds (density, walk) are built whole.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import decimal
 import hashlib
 import math
 from collections.abc import Callable, Sequence
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -380,8 +386,6 @@ def export_csv(rows: list[tuple], header: Sequence[str], path: str | Path) -> Pa
     return path
 
 
-# One simulated round: the ledgers after it and its report.
-History = list[tuple[MarketState, RoundReport]]
 Rows = list[tuple[str, ...]]
 
 
@@ -396,7 +400,9 @@ def _price_format(sc: ScenarioConfig) -> str:
     return f".{max(0, -int(exponent))}f"
 
 
-def _trade_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) -> Rows:
+def _trade_rows(
+    sc: ScenarioConfig, config: EconomyConfig, state: MarketState, report: RoundReport
+) -> Rows:
     pf = _price_format(sc)
     return [
         (
@@ -410,13 +416,14 @@ def _trade_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) -> 
             _fe(t.seller_cost),
             _fe(t.system_energy_saved),
         )
-        for _, report in history
         for t in report.trades
     ]
 
 
-def _wealth_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) -> Rows:
-    ids, pf = config.player_ids(), _price_format(sc)
+def _wealth_rows(
+    sc: ScenarioConfig, config: EconomyConfig, state: MarketState, report: RoundReport
+) -> Rows:
+    pf = _price_format(sc)
     return [
         (
             str(state.round),
@@ -425,26 +432,19 @@ def _wealth_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) ->
             _fe(state.energy_spent[pid]),
             _fe(state.energy_saved[pid]),
         )
-        for state, _ in history
-        for pid in ids
+        for pid in config.player_ids()
     ]
 
 
-def _savings_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) -> Rows:
-    reports = [report for _, report in history]
-    return [
-        (
-            str(rnd),
-            _fe(rep.autarky_energy),
-            _fe(rep.energy_expended_total),
-            _fe(saved),
-            _fe(frac),
-        )
-        for rep, (rnd, saved, frac) in zip(reports, system_savings_series(reports))
-    ]
+def _savings_rows(
+    sc: ScenarioConfig, config: EconomyConfig, state: MarketState, report: RoundReport
+) -> Rows:
+    [(rnd, saved, frac)] = system_savings_series([report])
+    energies = (report.autarky_energy, report.energy_expended_total, saved, frac)
+    return [(str(rnd), *map(_fe, energies))]
 
 
-def _density_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) -> Rows:
+def _density_rows(sc: ScenarioConfig, config: EconomyConfig) -> Rows:
     rows, pf = [], _price_format(sc)
     for c, jid in enumerate(config.job_ids()):
         break_evens = (config.conversion * config.costs[:, c]).tolist()
@@ -453,7 +453,7 @@ def _density_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) -
     return rows
 
 
-def _walk_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) -> Rows:
+def _walk_rows(sc: ScenarioConfig, config: EconomyConfig) -> Rows:
     rows = []
     for i in range(sc.walk.traces):
         seed = derive_trace_seed(sc.master_seed, i)
@@ -463,7 +463,9 @@ def _walk_rows(sc: ScenarioConfig, config: EconomyConfig, history: History) -> R
 
 
 # Each output kind's CSV header and row builder; a selected kind is written
-# to <kind>.csv.
+# to <kind>.csv. The builders of PER_ROUND kinds take one round's
+# (sc, config, state, report) and give that round's rows; the others take
+# (sc, config) and give the whole file.
 OUTPUTS = {
     "trades": (
         (
@@ -491,14 +493,24 @@ OUTPUTS = {
     "walk": (("trace", "step", "value"), _walk_rows),
 }
 OUTPUT_KINDS = tuple(OUTPUTS)
+PER_ROUND = ("trades", "wealth", "savings")
 
 
-def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> dict[str, Any]:
+def run_scenario(
+    sc: ScenarioConfig,
+    out_dir: str | Path,
+    observe: Callable[[RoundReport, EconomyConfig], None] | None = None,
+) -> dict[str, Any]:
     """Execute a scenario end to end and write every selected output.
 
-    Returns the paths written (``paths``), the per-round reports
-    (``reports``), the economy (``config``), and the per-round energy of
-    the optimal assignment and of autarky. Equal (config, seed) give
+    The rounds stream: after each round its rows are appended to the
+    per-round CSVs, and ``observe(report, config)``, when given, sees its
+    report. No round's state, report or rows outlive the round, so memory
+    does not grow with the number of rounds.
+
+    Returns the paths written (``paths``), the economy (``config``), the
+    trades over all rounds (``n_trades``), and the per-round energy of the
+    optimal assignment and of autarky. Equal (config, seed) give
     byte-identical outputs. An economy the config cannot describe, such as
     a player without an efficiency for some job, or one whose ledgers could
     overflow a float within the rounds, raises ConfigError.
@@ -514,23 +526,32 @@ def run_scenario(sc: ScenarioConfig, out_dir: str | Path) -> dict[str, Any]:
     _, assignment_energy = optimal_assignment(config)
     autarky = autarky_energy(config)
 
+    paths = {kind: out_dir / f"{kind}.csv" for kind in OUTPUTS if kind in sc.outputs}
     offers = post_offers(config)
-    history: History = []
-    for _ in range(sc.rounds):
-        state, report = execute_round(
-            config, state, offers=offers, record_detail="trades" in sc.outputs
-        )
-        history.append((state, report))
-
-    paths = {
-        kind: export_csv(build(sc, config, history), header, out_dir / f"{kind}.csv")
-        for kind, (header, build) in OUTPUTS.items()
-        if kind in sc.outputs
-    }
+    n_trades = 0
+    with ExitStack() as files:
+        sinks = []
+        for kind, path in paths.items():
+            header, build = OUTPUTS[kind]
+            if kind not in PER_ROUND:
+                export_csv(build(sc, config), header, path)
+                continue
+            fh = files.enter_context(open(path, "w", newline="\n"))
+            fh.write(",".join(header) + "\n")
+            sinks.append((fh, build))
+        for _ in range(sc.rounds):
+            state, report = execute_round(
+                config, state, offers=offers, record_detail="trades" in paths
+            )
+            n_trades += report.n_trades
+            if observe is not None:
+                observe(report, config)
+            for fh, build in sinks:
+                fh.writelines(",".join(r) + "\n" for r in build(sc, config, state, report))
     return {
         "paths": paths,
-        "reports": [report for _, report in history],
         "config": config,
+        "n_trades": n_trades,
         "assignment_energy": assignment_energy,
         "autarky_energy": autarky,
     }

@@ -295,6 +295,14 @@ def test_insufficient_money_forces_self_production(golden):
     assert conservation_check(report, golden)
 
 
+def test_execute_round_updates_the_given_state(golden):
+    state = MarketState.from_config(golden)
+    new, _ = execute_round(golden, state, post_offers(golden))
+    assert new is state
+    assert state.round == 1
+    assert state.money != MarketState.from_config(golden).money
+
+
 def test_explicit_zero_money_starts_at_zero(golden):
     p1, p2, p3 = golden.players
     cfg = dataclasses.replace(golden, players=[p1, p2, dataclasses.replace(p3, money=0.0)])

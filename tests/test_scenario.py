@@ -1,5 +1,6 @@
 import copy
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,57 @@ def test_cli_runs_and_checks(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "trades" in out
     assert (tmp_path / "out" / "trades.csv").exists()
+
+
+def test_cli_check_exits_1_on_a_conservation_failure(tmp_path, capsys, monkeypatch):
+    """The check runs on each round as it ends, on reports that carry the
+    trade detail when trades are an output, and a violation exits 1."""
+    seen = []
+
+    def fails_round_2(report, config):
+        seen.append(report)
+        return report.round != 2
+
+    monkeypatch.setattr("camsim.cli.conservation_check", fails_round_2)
+    assert main([str(DATA / "golden.yaml"), "-o", str(tmp_path), "--check"]) == 1
+    assert capsys.readouterr().err == "check failed: conservation violated in round 2\n"
+    assert [r.round for r in seen] == [1, 2]
+    assert all(r.trades for r in seen)
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
+def test_cli_unwritable_output_directory_exits_2(tmp_path, capsys, below):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([str(DATA / "golden.yaml"), "-o", str(blocker / below)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(blocker) in err
+
+
+def test_run_scenario_memory_does_not_grow_with_rounds(tmp_path):
+    """Each round's rows are written and dropped as the round ends, so ten
+    times the rounds may not take ten times the memory."""
+    jobs = ", ".join(f"{{job_id: j{k}, workload: {k + 1}.0}}" for k in range(4))
+
+    def peak(rounds: int) -> int:
+        sc = parse_mapping(
+            golden_with(
+                f"jobs: [{jobs}]\n"
+                "population:\n"
+                "  {count: 50, efficiency_distribution: uniform, params: {low: 0.5, high: 2.0}}\n"
+                f"rounds: {rounds}\n"
+                "outputs: [trades, wealth, savings]\n"
+            )
+        )
+        tracemalloc.start()
+        try:
+            run_scenario(sc, tmp_path / str(rounds))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # warm-up, so that one-off caches count in neither run
+    assert peak(200) <= 2 * peak(20)
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):
