@@ -39,8 +39,8 @@ for pid in config.player_ids():
     print(f"  {pid}: {costs}")
 print(f"Autarky energy (everyone self-produces): {autarky_energy(config):.1f}")
 
-assignment, energy = optimal_assignment(config)
-print(f"\nEnergy-minimizing producer per job: {assignment.producer_of} "
+producer_of, energy = optimal_assignment(config)
+print(f"\nEnergy-minimizing producer per job: {producer_of} "
       f"(total {energy:.1f})")
 
 print("\nHow P1 prices job x against the other break-evens:")

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import CapacityError, EconomyConfig
+from .core import EconomyConfig
 from .market import RoundReport
 
 
@@ -39,7 +39,7 @@ def pareto_tail_fit(wealths: list[float], tail_fraction: float) -> float:
     x = np.sort(np.asarray(wealths, dtype=float))[::-1]
     k = int(len(x) * tail_fraction)
     if k < 10:
-        raise CapacityError(f"tail holds {k} samples; need at least 10")
+        raise ValueError(f"tail holds {k} samples; need at least 10")
     tail = x[:k]
     if tail[-1] <= 0:
         raise ValueError("tail contains nonpositive values")
@@ -75,7 +75,7 @@ def efficiency_wealth_correlation(
     player id): the Pearson correlation of their ranks."""
     players = config.player_ids()
     if len(players) < 3:
-        raise CapacityError("need at least 3 players for a rank correlation")
+        raise ValueError("need at least 3 players for a rank correlation")
     margins = best_margins(config)
     m = [margins[pid] for pid in players]
     w = [wealth[pid] for pid in players]

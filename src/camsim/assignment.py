@@ -1,8 +1,9 @@
 """Globally energy-minimizing distribution of jobs among producers.
 
-An assignment gives every job type exactly one producer, who covers the
-whole system demand for that job. The net energy of an assignment is the
-sum over jobs of total demand times the producer's per-unit cost.
+An assignment is a dict from every job_id to the player_id of its one
+producer, who covers the whole system demand for that job. The net energy
+of an assignment is the sum over jobs of total demand times the producer's
+per-unit cost.
 
 That sum separates per job, so the exact optimum gives each job to its
 cheapest producer: the row-wise argmin of ``cost_matrix``, ties to the
@@ -17,20 +18,12 @@ energy of an arbitrary assignment, single-move stationarity) live in
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapacityError, EconomyConfig
+from .core import EconomyConfig
 
 ENUMERATION_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Map from job_id to the player_id producing that job's full demand."""
-
-    producer_of: dict[str, str]
 
 
 def cost_matrix(config: EconomyConfig) -> np.ndarray:
@@ -45,20 +38,20 @@ def cost_matrix(config: EconomyConfig) -> np.ndarray:
 
 def brute_force_min_assignment(
     config: EconomyConfig, cap: int = ENUMERATION_CAP
-) -> tuple[Assignment, float]:
+) -> tuple[dict[str, str], float]:
     """Exhaustively enumerate every producer choice per job; exact oracle.
 
-    Raises CapacityError when players**jobs exceeds ``cap``.
+    Raises ValueError when players**jobs exceeds ``cap``.
     """
     jobs = config.job_ids()
     players = config.player_ids()
     if not jobs:
-        return Assignment({}), 0.0
+        return {}, 0.0
     if not players:
         raise ValueError("economy has no players")
     n_candidates = len(players) ** len(jobs)
     if n_candidates > cap:
-        raise CapacityError(
+        raise ValueError(
             f"{len(players)}^{len(jobs)} = {n_candidates} candidates exceeds cap {cap}"
         )
     rows = cost_matrix(config)
@@ -67,11 +60,11 @@ def brute_force_min_assignment(
     total = functools.reduce(np.add.outer, rows)
     flat = int(np.argmin(total))
     choice = np.unravel_index(flat, total.shape)
-    best = Assignment({jid: players[c] for jid, c in zip(jobs, choice)})
+    best = {jid: players[c] for jid, c in zip(jobs, choice)}
     return best, float(total.reshape(-1)[flat])
 
 
-def optimal_assignment(config: EconomyConfig) -> tuple[Assignment, float]:
+def optimal_assignment(config: EconomyConfig) -> tuple[dict[str, str], float]:
     """Minimize net energy exactly: each job goes to its cheapest producer.
 
     argmin's first-occurrence rule breaks ties toward the lowest player_id.
@@ -83,10 +76,9 @@ def optimal_assignment(config: EconomyConfig) -> tuple[Assignment, float]:
     jobs = config.job_ids()
     players = config.player_ids()
     if not jobs:
-        return Assignment({}), 0.0
+        return {}, 0.0
     if not players:
         raise ValueError("economy has no players")
     costs = cost_matrix(config)
-    choice = np.argmin(costs, axis=1)
-    assignment = Assignment({jid: players[c] for jid, c in zip(jobs, choice)})
-    return assignment, sum(costs.min(axis=1).tolist())
+    producers = {jid: players[c] for jid, c in zip(jobs, np.argmin(costs, axis=1))}
+    return producers, sum(costs.min(axis=1).tolist())

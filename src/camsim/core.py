@@ -20,10 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class CapacityError(RuntimeError):
-    """A solver or estimator was asked for more than its configured limit."""
-
-
 @dataclass(frozen=True)
 class JobSpec:
     """A job type with an intrinsic per-unit workload in energy units.
@@ -110,11 +106,13 @@ class EconomyConfig:
                 raise ValueError(f"demand for {(pid, jid)} must be a nonnegative integer")
             self._totals[jid] += units
         for p in self.players:
+            who = f"player {p.player_id!r} has"
             for jid in self._jobs:
                 if jid not in p.efficiencies:
-                    raise ValueError(
-                        f"player {p.player_id!r} has no efficiency for job {jid!r}"
-                    )
+                    raise ValueError(f"{who} no efficiency for job {jid!r}")
+            for jid in p.efficiencies:
+                if jid not in self._jobs:
+                    raise ValueError(f"{who} an efficiency for unknown job {jid!r}")
         efficiencies = np.array(
             [[self._players[p].efficiencies[j] for j in self._col] for p in self._row],
             dtype=float,

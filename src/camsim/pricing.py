@@ -39,11 +39,6 @@ class PriceDensity:
                 raise ValueError("atom masses must be >= 1")
             prev = price
 
-    @property
-    def p_max(self) -> float:
-        """Largest break-even in the population; 0 for an empty density."""
-        return self.atoms[-1][0] if self.atoms else 0.0
-
 
 @dataclass(frozen=True)
 class PriceSolution:

@@ -21,7 +21,7 @@ import hashlib
 import math
 from collections.abc import Callable, Sequence
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -128,6 +128,7 @@ def _number(bound: str = "", holds: Callable[[float], bool] = lambda v: True) ->
 
 _POSITIVE = _number(" > 0", lambda v: v > 0)
 _NONNEGATIVE = _number(" >= 0", lambda v: v >= 0)
+_SEED = _integer(0)
 
 
 def _mapping(rules: dict[str, Rule], required=(), build: Callable = dict) -> Rule:
@@ -220,6 +221,8 @@ def _population(
     names = POPULATION_PARAMS[efficiency_distribution]
     if set(params) != set(names):
         raise ValueError(f": params for {efficiency_distribution} must be {sorted(names)}")
+    if efficiency_distribution == "uniform" and params["low"] > params["high"]:
+        raise ValueError(": params: low must be <= high")
     return PopulationSpec(count, efficiency_distribution, params)
 
 
@@ -269,7 +272,7 @@ SCENARIO_RULE = _mapping(
         "price_quantum": _POSITIVE,
         "demand": _demand,
         "rounds": _integer(1),
-        "master_seed": _integer(0),
+        "master_seed": _SEED,
         "initial_money": _POSITIVE,
         "outputs": _outputs,
         "walk": _mapping(
@@ -298,31 +301,30 @@ def parse_mapping(raw: Any, source: str = "<config>") -> ScenarioConfig:
     return sc
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    """Parse and fully validate a scenario file; reports all errors at once."""
+def load_config(path: str | Path, master_seed: int | None = None) -> ScenarioConfig:
+    """Parse and fully validate a scenario file; reports all errors at once.
+
+    PyYAML reads the file's bytes and picks the encoding (UTF-8 unless a
+    byte-order mark says otherwise), whatever the locale, so bytes it cannot
+    decode are bad YAML. A ``master_seed`` given here, the CLI's ``--seed``,
+    replaces the file's after passing the same rule.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        with path.open("rb") as fh:
+            raw = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
-        raise ConfigError([f"{path}: not valid YAML: {exc}"]) from exc
-    return parse_mapping(raw, source=str(path))
-
-
-def to_mapping(sc: ScenarioConfig) -> dict:
-    """Inverse of parse_mapping; reparsing the result gives an equal config."""
-    out = {key: value for key, value in asdict(sc).items() if value is not None}
-    for player in out.get("players", []):
-        if player["money"] is None:
-            del player["money"]
-    if "walk" in out:
-        out["walk"] |= out["walk"].pop("params")
-    if isinstance(sc.demand, dict):
-        out["demand"] = {}
-        for (pid, jid), units in sc.demand.items():
-            out["demand"].setdefault(pid, {})[jid] = units
-    return out
+        message = " ".join(str(exc).split())  # one line, like every other error
+        raise ConfigError([f"{path}: not valid YAML: {message}"]) from exc
+    sc = parse_mapping(raw, source=str(path))
+    if master_seed is not None:
+        errors: list[str] = []
+        sc.master_seed = _apply(_SEED, master_seed, "--seed: master_seed", errors)
+        if errors:
+            raise ConfigError(errors)
+    return sc
 
 
 def _draw_efficiencies(

@@ -12,9 +12,10 @@ prices, so negative values are clamped to zero and counted; stationary
 statistics are only trusted when sigma is small against the true price
 and clamping is vanishingly rare.
 
-``simulate_walk`` generates a trace, ``stationary_stats`` gives the
-closed-form moments, and ``derive_trace_seed`` spawns each trace's seed
-from the scenario's master seed.
+``simulate_walk`` generates a trace (its values and how many of them were
+clamped), ``stationary_stats`` gives the closed-form moments, and
+``derive_trace_seed`` spawns each trace's seed from the scenario's master
+seed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ class WalkParams:
 @dataclass(frozen=True)
 class WalkTrace:
     values: np.ndarray
-    seed: int
     clamped: int
 
 
@@ -70,7 +70,7 @@ def simulate_walk(
             current = 0.0
             clamped += 1
         values.append(current)
-    return WalkTrace(values=np.array(values), seed=seed, clamped=clamped)
+    return WalkTrace(values=np.array(values), clamped=clamped)
 
 
 def stationary_stats(params: WalkParams) -> tuple[float, float]:

@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from camsim import (
-    Assignment,
     EconomyConfig,
     Offer,
     PriceDensity,
@@ -23,40 +22,45 @@ from camsim import (
 )
 
 
-def validate(assignment: Assignment, config: EconomyConfig) -> None:
+def validate(producer_of: dict[str, str], config: EconomyConfig) -> None:
     """Every job has exactly one producer, and every producer is a player."""
     jobs = set(config.job_ids())
-    if set(assignment.producer_of) != jobs:
-        missing = jobs - set(assignment.producer_of)
-        extra = set(assignment.producer_of) - jobs
+    if set(producer_of) != jobs:
+        missing = jobs - set(producer_of)
+        extra = set(producer_of) - jobs
         raise ValueError(f"assignment job mismatch: missing={missing} extra={extra}")
     players = set(config.player_ids())
-    for jid, pid in assignment.producer_of.items():
+    for jid, pid in producer_of.items():
         if pid not in players:
             raise ValueError(f"job {jid!r} assigned to unknown player {pid!r}")
 
 
-def net_energy(assignment: Assignment, config: EconomyConfig) -> float:
-    """Total system energy under one assignment."""
-    validate(assignment, config)
+def net_energy(producer_of: dict[str, str], config: EconomyConfig) -> float:
+    """Total system energy under one assignment (job_id -> producer)."""
+    validate(producer_of, config)
     return float(
         sum(
             config.total_demand(jid) * config.cost(pid, jid)
-            for jid, pid in assignment.producer_of.items()
+            for jid, pid in producer_of.items()
         )
     )
 
 
-def stationarity_check(assignment: Assignment, config: EconomyConfig) -> bool:
+def stationarity_check(producer_of: dict[str, str], config: EconomyConfig) -> bool:
     """True iff no single-job reassignment strictly lowers net energy."""
-    validate(assignment, config)
+    validate(producer_of, config)
     for jid in config.job_ids():
         d = config.total_demand(jid)
-        here = d * config.cost(assignment.producer_of[jid], jid)
+        here = d * config.cost(producer_of[jid], jid)
         for pid in config.player_ids():
             if d * config.cost(pid, jid) < here:
                 return False
     return True
+
+
+def p_max(density: PriceDensity) -> float:
+    """Largest break-even in the population; 0 for an empty density."""
+    return density.atoms[-1][0] if density.atoms else 0.0
 
 
 def total_mass(density: PriceDensity) -> int:

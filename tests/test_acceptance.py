@@ -30,7 +30,7 @@ from camsim import (
     stationary_stats,
 )
 from camsim.scenario import artifact_digests
-from tests.oracles import buyer_counts, stationarity_check, total_mass
+from tests.oracles import buyer_counts, p_max, stationarity_check, total_mass
 
 DATA = Path(__file__).parent / "data"
 
@@ -122,7 +122,7 @@ def test_criterion_4_pricing_oracle():
         density = _random_density(rng, quantum)
         break_even = float(rng.integers(0, 80)) * quantum
         sol = optimal_price(break_even, density, quantum)
-        grid = np.arange(0.0, density.p_max + quantum / 2, quantum)
+        grid = np.arange(0.0, p_max(density) + quantum / 2, quantum)
         grid = grid[grid >= break_even]
         profits = (grid - break_even) * buyer_counts(density, grid)
         scan_best = float(profits.max()) if len(profits) else 0.0

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camsim import (
-    CapacityError,
     efficiency_wealth_correlation,
     gini,
     pareto_tail_fit,
@@ -49,7 +48,7 @@ def test_hill_recovers_pareto_exponent(alpha):
 
 
 def test_hill_errors():
-    with pytest.raises(CapacityError):
+    with pytest.raises(ValueError, match="tail holds 2 samples; need at least 10"):
         pareto_tail_fit([1.0] * 20, tail_fraction=0.1)  # tail of 2 samples
     with pytest.raises(ValueError):
         pareto_tail_fit([5.0] * 100, tail_fraction=0.2)  # constant tail
@@ -123,7 +122,7 @@ def test_correlation_too_few_players():
 
     players = [Player("a", {"x": 1.0}), Player("b", {"x": 2.0})]
     cfg = EconomyConfig(players=players, jobs=[JobSpec("x", 5.0)])
-    with pytest.raises(CapacityError):
+    with pytest.raises(ValueError, match="need at least 3 players"):
         efficiency_wealth_correlation({"a": 1.0, "b": 2.0}, cfg)
 
 

@@ -197,6 +197,23 @@ def test_run_market_matches_every_offer_oracle(config, initial_money, rounds):
     assert run_market(config, rounds, initial_money) == (state, reports)
 
 
+@given(
+    config=economies(),
+    initial_money=st.floats(0.0, 100.0),
+    rounds=st.integers(2, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_round_without_trades_repeats(config, initial_money, rounds):
+    """A buyer's choice reads only the fixed offers and its own money, and
+    only a trade moves money, so a first round without trades is every
+    round: the reason one round decides the --check no-trade variants."""
+    state, reports = run_market(config, rounds, initial_money)
+    if reports[0].n_trades == 0:
+        assert all(r.n_trades == 0 for r in reports)
+        assert all(r.n_forced == reports[0].n_forced for r in reports)
+        assert state.money == MarketState.from_config(config, initial_money).money
+
+
 @pytest.mark.parametrize(
     "price, buys", [(9.0, True), (10.0, False), (11.0, False)], ids=["below", "equal", "above"]
 )

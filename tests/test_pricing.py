@@ -12,7 +12,13 @@ from camsim import (
     optimal_price,
     optimal_prices,
 )
-from tests.oracles import buyer_counts, no_trade_witness, optimal_price_by_scan, total_mass
+from tests.oracles import (
+    buyer_counts,
+    no_trade_witness,
+    optimal_price_by_scan,
+    p_max,
+    total_mass,
+)
 
 # costs on the quantum grid so the candidate search is exactly comparable
 # to a grid scan
@@ -30,7 +36,7 @@ def profit(posted: float, break_even: float, density: PriceDensity) -> float:
 
 def scan_max_profit(break_even: float, density: PriceDensity, quantum: float) -> float:
     """Exhaustive-scan oracle over every quantized price in [0, p_max]."""
-    n = int(round(density.p_max / quantum))
+    n = int(round(p_max(density) / quantum))
     best = 0.0
     for k in range(n + 1):
         p = k * quantum
@@ -43,7 +49,7 @@ def scan_max_profit(break_even: float, density: PriceDensity, quantum: float) ->
 def test_build_density_examples():
     d = build_price_density([10, 10])
     assert d.atoms == ((10, 2),)
-    assert d.p_max == 10
+    assert p_max(d) == 10
 
     d = build_price_density([7, 7, 7, 7])
     assert d.atoms == ((7, 4),)

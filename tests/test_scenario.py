@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import re
 import tracemalloc
 from pathlib import Path
@@ -8,7 +9,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from camsim import ConfigError, MarketState, load_config, run_scenario
+from camsim import ConfigError, MarketState, load_config, market, run_scenario
 from camsim.cli import main
 from camsim.scenario import (
     OUTPUTS,
@@ -16,7 +17,6 @@ from camsim.scenario import (
     build_economy,
     export_csv,
     parse_mapping,
-    to_mapping,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -56,6 +56,24 @@ def test_parse_error(tmp_path):
         load_config(bad)
 
 
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.yaml"
+    cfg.write_bytes((DATA / "golden.yaml").read_bytes().replace(b"P3", b"P\xff"))
+    out = tmp_path / "out"
+    assert main([str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not valid YAML" in err
+    assert not list(out.glob("*.csv"))
+
+
+def test_uniform_low_must_not_exceed_high():
+    population = "population: {count: 5, efficiency_distribution: uniform, params: %s}"
+    with pytest.raises(ConfigError, match="population: params: low must be <= high"):
+        parse_mapping(golden_with(population % "{low: 2.5, high: 2.0}"))
+    sc = parse_mapping(golden_with(population % "{low: 2.0, high: 2.0}"))
+    assert {e for p in build_economy(sc).players for e in p.efficiencies.values()} == {2.0}
+
+
 def test_validation_collects_all_errors(tmp_path):
     raw = yaml.safe_load((DATA / "golden.yaml").read_text())
     raw["players"][0]["efficiencies"]["x"] = 0.0  # invariant violation
@@ -77,11 +95,6 @@ def test_unknown_key_rejected_everywhere():
         parse_mapping(raw)
 
 
-def test_config_round_trip():
-    sc = load_config(DATA / "golden.yaml")
-    assert parse_mapping(to_mapping(sc)) == sc
-
-
 def test_money_omitted_is_endowment_and_zero_is_zero():
     raw = yaml.safe_load((DATA / "golden.yaml").read_text())
     raw["initial_money"] = 50.0
@@ -90,14 +103,6 @@ def test_money_omitted_is_endowment_and_zero_is_zero():
     assert [p.money for p in sc.players] == [None, None, 0.0]
     state = MarketState.from_config(build_economy(sc), sc.initial_money)
     assert state.money == {"P1": 50.0, "P2": 50.0, "P3": 0.0}
-
-
-def test_to_mapping_omits_unset_money():
-    raw = yaml.safe_load((DATA / "golden.yaml").read_text())
-    raw["players"][2]["money"] = 0.0
-    sc = parse_mapping(raw)
-    assert ["money" in p for p in to_mapping(sc)["players"]] == [False, False, True]
-    assert parse_mapping(to_mapping(sc)) == sc
 
 
 @pytest.mark.parametrize(
@@ -177,10 +182,9 @@ def test_any_replaced_value_is_rejected_or_round_trips(where, value):
             node = node[key]
         node[path[-1]] = value
     try:
-        sc = parse_mapping(raw)
+        parse_mapping(raw)
     except ConfigError:
-        return
-    assert parse_mapping(to_mapping(sc)) == sc
+        pass  # a rejection; any other exception fails the test
 
 
 def test_generated_population_round_trip(tmp_path):
@@ -196,7 +200,6 @@ def test_generated_population_round_trip(tmp_path):
         "walk: {true_price: 10.0, eta: 0.5, sigma: 1.0, steps: 10, traces: 2}\n"
     )
     sc = load_config(cfg)
-    assert parse_mapping(to_mapping(sc)) == sc
     economy = build_economy(sc)
     assert len(economy.players) == 10
     # same seed, same draws
@@ -265,6 +268,36 @@ def test_cli_check_exits_1_on_a_conservation_failure(tmp_path, capsys, monkeypat
     assert all(r.trades for r in seen)
 
 
+@pytest.mark.parametrize(
+    "traded, message",
+    [
+        (lambda c: all(j.workload == 0 for j in c.jobs), "zero-cost"),
+        (
+            lambda c: all(p.efficiencies == c.players[0].efficiencies for p in c.players),
+            "identical-efficiency",
+        ),
+    ],
+    ids=["zero-cost", "identical-efficiency"],
+)
+def test_cli_check_exits_1_when_a_no_trade_variant_trades(
+    tmp_path, capsys, monkeypatch, traded, message
+):
+    """Each no-trade variant runs one round; a trade in it fails the check."""
+    calls = []
+
+    def run_market(config, rounds, **kwargs):
+        calls.append(rounds)
+        state, reports = market.run_market(config, rounds, **kwargs)
+        if traded(config):
+            reports = [dataclasses.replace(r, n_trades=1) for r in reports]
+        return state, reports
+
+    monkeypatch.setattr("camsim.cli.run_market", run_market)
+    assert main([str(DATA / "golden.yaml"), "-o", str(tmp_path), "--check"]) == 1
+    assert capsys.readouterr().err == f"check failed: {message} economy executed trades\n"
+    assert calls == [1, 1]
+
+
 @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
 def test_cli_unwritable_output_directory_exits_2(tmp_path, capsys, below):
     blocker = tmp_path / "file"
@@ -329,6 +362,16 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             " params: {low: -1, high: 2}}",
             "low must be",
         ),
+        (
+            "population: {count: 5, efficiency_distribution: uniform,"
+            " params: {low: 3, high: 2}}",
+            "population: params: low must be <= high",
+        ),
+        (
+            "jobs: [{job_id: x, workload: 10.0}]\n"
+            "players: [{player_id: P1, efficiencies: {x: 2.0, y: 1.0}}]",
+            "player 'P1' has an efficiency for unknown job 'y'",
+        ),
         ("conversion: .inf", "conversion must be"),
         ("players: []", "players must not be empty"),
         (
@@ -363,6 +406,8 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         "unknown-demand-player",
         "params-not-a-number",
         "params-negative",
+        "params-low-above-high",
+        "efficiency-for-unknown-job",
         "conversion-inf",
         "no-players",
         "cost-overflow",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from camsim import WalkParams, derive_trace_seed, simulate_walk, stationary_stats
+from tests.oracles import p_max
 
 
 def test_params_validation():
@@ -102,4 +103,4 @@ def test_noisy_endpoints_density_smoke():
         for i in range(50)
     ]
     d = build_price_density(endpoints)
-    assert buyer_count(d, d.p_max + 3 * params.sigma) == 0
+    assert buyer_count(d, p_max(d) + 3 * params.sigma) == 0
