@@ -8,7 +8,8 @@ ledgers, wealth-distribution analysis, and a mean-reverting model of
 noisy price estimation. Checks that only the tests use (assignment net
 energy and stationarity, vectorized buyer counts, density mass and
 largest atom, the no-trade witness, pricing by a per-candidate scan,
-every seller's offer) live in ``tests/oracles.py``.
+every seller's offer, the round as a loop over the cells) live in
+``tests/oracles.py``.
 """
 
 from .analysis import (

@@ -69,6 +69,8 @@ class EconomyConfig:
     read-only players x jobs array of ``workload / efficiency``, rows in
     sorted player_id order and columns in sorted job_id order, and the ids,
     each job's total demand and the autarky energy are stored beside it.
+    ``units`` is the same table of ``demand`` as floats; ``demand`` itself
+    keeps the exact integers.
     ``round_bound`` is the most one round can move into any ledger, in
     energy or money. The table is never updated: to change an economy,
     build a new config with ``dataclasses.replace``, never mutate one.
@@ -144,9 +146,13 @@ class EconomyConfig:
                 "total demand times the highest cost or break-even price,"
                 " summed over the jobs, is not finite"
             )
-        self._autarky = math.fsum(
-            units * self.cost(pid, jid) for (pid, jid), units in self.demand.items()
-        )
+        # Past the guard every total converts to a float, so every cell does.
+        self.units = np.zeros_like(self.costs)
+        for (pid, jid), units in self.demand.items():
+            self.units[self._row[pid], self._col[jid]] = float(units)
+        self.units.flags.writeable = False
+        self._autarky = math.fsum((self.units * self.costs).ravel().tolist())
+        self._round_plan = None  # market.execute_round's memo of its last offers
 
     def player(self, player_id: str) -> Player:
         return self._players[player_id]

@@ -9,7 +9,11 @@ exactly; energy expended plus energy saved must partition the round's
 autarky energy.
 
 Offers depend only on efficiencies and workloads, never on balances, so
-they are posted once and reused across rounds.
+they are posted once and reused across rounds. A round is decided in
+arrays: the offers fix which offer each (player, job) cell would take, and
+only the buyers' balances decide whether it can. The ledgers get the float
+additions of a loop over the cells, in its order, so they equal that loop's
+bit for bit; the loop is kept as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import EconomyConfig, autarky_energy
 from .pricing import build_price_density, optimal_prices
@@ -139,6 +145,194 @@ def post_offers(config: EconomyConfig) -> list[Offer]:
     return offers
 
 
+_NO_DETAIL = {"trades": (), "self_productions": ()}
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    """What one round's decisions fix, besides the transfers.
+
+    ``spent`` and ``saved`` are the (players, amounts) to add to those
+    ledgers, in cell order; ``counts`` and ``detail`` are RoundReport fields.
+    """
+
+    decisions: bytes
+    spent: tuple[np.ndarray, np.ndarray]
+    saved: tuple[np.ndarray, np.ndarray]
+    counts: dict[str, int | float]
+    detail: dict[str, tuple] | None = None
+
+
+class _RoundPlan:
+    """What every round against one list of offers shares, cell by cell.
+
+    The cells are the config's players x jobs, in the cost table's order.
+    A cell's offer is the first offer for its job or, in the row of that
+    offer's own seller, the first offer from someone else; ``seller`` is
+    the offer's row, -1 without one. A cell ``wants`` to buy when it has
+    demand and an offer priced strictly below the buyer's break-even, and
+    then costs it ``total``, the price times its units. Every amount is the
+    expression the per-cell loop evaluates for the cell.
+    """
+
+    def __init__(self, config: EconomyConfig, offers: tuple[Offer, ...]):
+        self.offers = offers
+        row = {pid: r for r, pid in enumerate(config.player_ids())}
+        costs, units = config.costs, config.units
+        listed: dict[str, list[Offer]] = {}
+        for off in offers:
+            listed.setdefault(off.job, []).append(off)
+        self.seller = np.full(costs.shape, -1)
+        self.price = np.zeros(costs.shape)
+        for c, jid in enumerate(config.job_ids()):
+            if jid not in listed:
+                continue
+            first = listed[jid][0]
+            own = row[first.seller]
+            self.seller[:, c], self.price[:, c] = own, first.price
+            other = next((o for o in listed[jid] if o.seller != first.seller), None)
+            if other is not None:
+                self.seller[own, c], self.price[own, c] = row[other.seller], other.price
+            else:
+                self.seller[own, c] = -1
+        below = self.price < config.conversion * costs
+        self.wants = (self.seller >= 0) & (units > 0) & below
+        self.total = np.zeros_like(units)
+        np.multiply(self.price, units, out=self.total, where=self.wants)
+        # The rows that can earn in a round, at most two per job. Offers
+        # priced below zero make earnings negative; then every seller is
+        # decided in row order (see decide).
+        self.sellers = np.flatnonzero(np.bincount(self.seller[self.wants]))
+        self.earn_only = not (self.total < 0).any()
+        self.last: _Outcome | None = None
+
+    def decide(self, money: np.ndarray) -> np.ndarray:
+        """The cells that buy, given each player's balance as the round starts.
+
+        Adds the round's transfers to ``money`` as the per-cell loop does:
+        per bought cell in cell order, the buyer's ``-total``, then the
+        seller's ``+total``. ``np.add.at`` applies repeated indices one at a
+        time in the order given, so each balance receives the loop's
+        additions in the loop's order, and ends bit for bit equal.
+
+        A buyer can afford a cell if its balance at that moment is not below
+        the cell's total. A player nobody buys from earns nothing in the
+        round, so that balance is its start balance minus its own purchases
+        in job order, whatever the order of the rows; all players are first
+        decided that way together, one job column at a time. A seller's
+        balance also holds what the rows before its own paid it. When no
+        price is negative, that only raises it, and rounding to nearest is
+        monotone, so a larger balance stays at least as large after each
+        purchase: a seller that afforded every purchase from its start
+        balance affords them all. The other sellers (there are at most two
+        per job) are decided again, one at a time in row order, each once
+        the transfers of every earlier row are in ``money``.
+        """
+        wants, total = self.wants, self.total
+        buy = np.zeros_like(wants)
+        left = money
+        for c in range(wants.shape[1]):
+            buy[:, c] = wants[:, c] & ~(left < total[:, c])
+            left = np.where(buy[:, c], left - total[:, c], left)
+        short = self.sellers
+        if self.earn_only:
+            short = short[(wants[short] & ~buy[short]).any(axis=1)]
+        done = 0
+        for r in short.tolist():
+            self._transfer(buy, money, done, r)
+            done, left = r, money[r]
+            for c in np.flatnonzero(wants[r]).tolist():
+                buy[r, c] = not left < total[r, c]
+                if buy[r, c]:
+                    left = left - total[r, c]
+        self._transfer(buy, money, done, len(buy))
+        return buy
+
+    def _transfer(self, buy: np.ndarray, money: np.ndarray, lo: int, hi: int) -> None:
+        """Pay for the bought cells of rows lo to hi, in cell order."""
+        cells = np.flatnonzero(buy[lo:hi]) + lo * buy.shape[1]
+        paid = self.total.ravel()[cells]
+        at = np.empty(2 * len(cells), dtype=cells.dtype)
+        amounts = np.empty(2 * len(cells))
+        at[0::2], at[1::2] = cells // buy.shape[1], self.seller.ravel()[cells]
+        amounts[0::2], amounts[1::2] = -paid, paid
+        np.add.at(money, at, amounts)
+
+    def outcome(self, config: EconomyConfig, buy: np.ndarray, record_detail: bool):
+        """What the decisions ``buy`` fix, besides the transfers.
+
+        The last decisions' outcome is kept, so a round that decides as the
+        one before reuses it, its records included: no record carries a
+        round number.
+        """
+        last = self.last
+        if (
+            last is None
+            or last.decisions != buy.tobytes()
+            or (record_detail and last.detail is None)
+        ):
+            last = self.last = self._outcome(config, buy, record_detail)
+        return last
+
+    def _outcome(
+        self, config: EconomyConfig, buy: np.ndarray, record_detail: bool
+    ) -> _Outcome:
+        n_jobs = buy.shape[1]
+        costs, units = config.costs.ravel(), config.units.ravel()
+        demanded = np.flatnonzero(units > 0)
+        b = buy.ravel()[demanded]
+        bought, made = demanded[b], demanded[~b]
+        seller, price = self.seller.ravel()[bought], self.price.ravel()[bought]
+        paid, own_cost = self.total.ravel()[bought], costs[bought]
+        seller_cost = config.costs[seller, bought % n_jobs]
+        buyer_saved = units[bought] * (own_cost - price / config.conversion)
+        system_saved = units[bought] * (own_cost - seller_cost)
+        # Each demanded cell adds to one player's energy_spent: the seller's
+        # when it buys, the buyer's own when it self-produces.
+        spent_at, spent = np.empty(len(b), dtype=bought.dtype), np.empty(len(b))
+        spent_at[b], spent_at[~b] = seller, made // n_jobs
+        spent[b], spent[~b] = units[bought] * seller_cost, units[made] * costs[made]
+        detail = None
+        if record_detail:
+            ids, jobs = config.player_ids(), config.job_ids()
+
+            def cells(at: np.ndarray) -> list[tuple[str, str, int]]:
+                """(player id, job id, units) of each cell in ``at``."""
+                rows, cols = (a.tolist() for a in np.divmod(at, n_jobs))
+                return [
+                    (ids[r], jobs[c], config.demand[ids[r], jobs[c]])
+                    for r, c in zip(rows, cols)
+                ]
+
+            amounts = (seller, price, own_cost, seller_cost, system_saved)
+            trades = zip(cells(bought), *(a.tolist() for a in amounts))
+            forced = self.wants.ravel()[made].tolist()
+            selfs = zip(cells(made), spent[~b].tolist(), forced)
+            detail = {
+                "trades": tuple(
+                    TradeRecord(buyer, ids[s], job, n, *rest)
+                    for (buyer, job, n), s, *rest in trades
+                ),
+                "self_productions": tuple(
+                    SelfProduction(player, job, n, energy, forced=f)
+                    for (player, job, n), energy, f in selfs
+                ),
+            }
+        return _Outcome(
+            decisions=buy.tobytes(),
+            spent=(spent_at, spent),
+            saved=(bought // n_jobs, buyer_saved),
+            counts={
+                "n_trades": len(bought),
+                "n_forced": int(np.count_nonzero(self.wants & ~buy)),
+                "money_delta_total": math.fsum(np.concatenate((-paid, paid)).tolist()),
+                "energy_expended_total": math.fsum(spent.tolist()),
+                "energy_saved_total": math.fsum(system_saved.tolist()),
+            },
+            detail=detail,
+        )
+
+
 def execute_round(
     config: EconomyConfig,
     state: MarketState,
@@ -157,83 +351,33 @@ def execute_round(
     A buyer who cannot afford the purchase self-produces and is flagged.
     The round draws no randomness. With record_detail=False only the
     ledger totals are kept (trade/self-production lists stay empty).
+
+    The round is decided in arrays (see ``_RoundPlan.decide``) and gives
+    the ledgers, records and totals of a loop over the cells, buyer by
+    buyer and job by job, bit for bit; that loop is the tests' oracle. The
+    plan for the last offers is kept on the config.
     """
-    best_offers: dict[str, list[Offer]] = {}
-    for off in offers:
-        best_offers.setdefault(off.job, []).append(off)
-
+    key = tuple(offers)
+    plan = config._round_plan
+    if plan is None or plan.offers != key:
+        plan = config._round_plan = _RoundPlan(config, key)
+    ids = config.player_ids()
+    ledgers = (state.money, state.energy_spent, state.energy_saved)
+    money, spent, saved = (
+        np.fromiter(map(ledger.__getitem__, ids), float, len(ids)) for ledger in ledgers
+    )
+    buy = plan.decide(money)
+    outcome = plan.outcome(config, buy, record_detail)
+    # Each energy ledger gets its additions in cell order, as in the loop.
+    np.add.at(spent, *outcome.spent)
+    np.add.at(saved, *outcome.saved)
+    for ledger, values in zip(ledgers, (money, spent, saved)):
+        ledger.update(zip(ids, values.tolist()))
     state.round += 1
-    transfers: list[float] = []
-    production_energy: list[float] = []
-    system_saved: list[float] = []
-    trades: list[TradeRecord] = []
-    selfs: list[SelfProduction] = []
-    n_trades = 0
-    n_forced = 0
-
-    jobs = config.job_ids()
-    for buyer, self_costs in zip(config.player_ids(), config.costs.tolist()):
-        for jid, self_cost in zip(jobs, self_costs):
-            units = config.demand.get((buyer, jid), 0)
-            if not units:
-                continue
-            best = next(
-                (o for o in best_offers.get(jid, ()) if o.seller != buyer), None
-            )
-            # Buy only on a strict improvement; ties self-produce.
-            buy = best is not None and best.price < config.conversion * self_cost
-            forced = False
-            if buy:
-                total_price = best.price * units
-                if state.money[buyer] < total_price:
-                    buy = False
-                    forced = True
-                    n_forced += 1
-            if buy:
-                seller_cost = config.cost(best.seller, jid)
-                state.money[buyer] -= total_price
-                state.money[best.seller] += total_price
-                transfers.append(-total_price)
-                transfers.append(total_price)
-                state.energy_spent[best.seller] += units * seller_cost
-                state.energy_saved[buyer] += units * (
-                    self_cost - best.price / config.conversion
-                )
-                production_energy.append(units * seller_cost)
-                saved = units * (self_cost - seller_cost)
-                system_saved.append(saved)
-                n_trades += 1
-                if record_detail:
-                    trades.append(
-                        TradeRecord(
-                            buyer=buyer,
-                            seller=best.seller,
-                            job=jid,
-                            units=units,
-                            price=best.price,
-                            buyer_self_cost=self_cost,
-                            seller_cost=seller_cost,
-                            system_energy_saved=saved,
-                        )
-                    )
-            else:
-                energy = units * self_cost
-                state.energy_spent[buyer] += energy
-                production_energy.append(energy)
-                if record_detail:
-                    selfs.append(
-                        SelfProduction(buyer, jid, units, energy, forced=forced)
-                    )
-
     report = RoundReport(
         round=state.round,
-        trades=tuple(trades),
-        self_productions=tuple(selfs),
-        n_trades=n_trades,
-        n_forced=n_forced,
-        money_delta_total=math.fsum(transfers),
-        energy_expended_total=math.fsum(production_energy),
-        energy_saved_total=math.fsum(system_saved),
+        **(outcome.detail if record_detail else _NO_DETAIL),
+        **outcome.counts,
         autarky_energy=autarky_energy(config),
     )
     return state, report

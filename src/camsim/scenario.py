@@ -307,23 +307,31 @@ def load_config(path: str | Path, master_seed: int | None = None) -> ScenarioCon
     PyYAML reads the file's bytes and picks the encoding (UTF-8 unless a
     byte-order mark says otherwise), whatever the locale, so bytes it cannot
     decode are bad YAML. A ``master_seed`` given here, the CLI's ``--seed``,
-    replaces the file's after passing the same rule.
+    stands in for the file's, which may then be missing; it passes the same
+    rule, and a bad one is reported with the file's problems.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
+    errors: list[str] = []
+    seed = None
+    if master_seed is not None:
+        seed = _apply(_SEED, master_seed, "--seed: master_seed", errors)
     try:
         with path.open("rb") as fh:
             raw = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         message = " ".join(str(exc).split())  # one line, like every other error
-        raise ConfigError([f"{path}: not valid YAML: {message}"]) from exc
-    sc = parse_mapping(raw, source=str(path))
-    if master_seed is not None:
-        errors: list[str] = []
-        sc.master_seed = _apply(_SEED, master_seed, "--seed: master_seed", errors)
-        if errors:
-            raise ConfigError(errors)
+        raise ConfigError([f"{path}: not valid YAML: {message}", *errors]) from exc
+    if master_seed is not None and isinstance(raw, dict):
+        # A bad --seed is reported once, under its own name.
+        raw = {**raw, "master_seed": 0 if seed is None else seed}
+    try:
+        sc = parse_mapping(raw, source=str(path))
+    except ConfigError as exc:
+        errors = exc.errors + errors
+    if errors:
+        raise ConfigError(errors)
     return sc
 
 
@@ -403,9 +411,8 @@ def _price_format(sc: ScenarioConfig) -> str:
 
 
 def _trade_rows(
-    sc: ScenarioConfig, config: EconomyConfig, state: MarketState, report: RoundReport
+    pf: str, config: EconomyConfig, state: MarketState, report: RoundReport
 ) -> Rows:
-    pf = _price_format(sc)
     return [
         (
             str(report.round),
@@ -423,9 +430,8 @@ def _trade_rows(
 
 
 def _wealth_rows(
-    sc: ScenarioConfig, config: EconomyConfig, state: MarketState, report: RoundReport
+    pf: str, config: EconomyConfig, state: MarketState, report: RoundReport
 ) -> Rows:
-    pf = _price_format(sc)
     return [
         (
             str(state.round),
@@ -439,7 +445,7 @@ def _wealth_rows(
 
 
 def _savings_rows(
-    sc: ScenarioConfig, config: EconomyConfig, state: MarketState, report: RoundReport
+    pf: str, config: EconomyConfig, state: MarketState, report: RoundReport
 ) -> Rows:
     [(rnd, saved, frac)] = system_savings_series([report])
     energies = (report.autarky_energy, report.energy_expended_total, saved, frac)
@@ -465,9 +471,9 @@ def _walk_rows(sc: ScenarioConfig, config: EconomyConfig) -> Rows:
 
 
 # Each output kind's CSV header and row builder; a selected kind is written
-# to <kind>.csv. The builders of PER_ROUND kinds take one round's
-# (sc, config, state, report) and give that round's rows; the others take
-# (sc, config) and give the whole file.
+# to <kind>.csv. The builders of PER_ROUND kinds take the run's price format
+# and one round's (config, state, report) and give that round's rows; the
+# others take (sc, config) and give the whole file.
 OUTPUTS = {
     "trades": (
         (
@@ -530,6 +536,7 @@ def run_scenario(
 
     paths = {kind: out_dir / f"{kind}.csv" for kind in OUTPUTS if kind in sc.outputs}
     offers = post_offers(config)
+    pf = _price_format(sc)
     n_trades = 0
     with ExitStack() as files:
         sinks = []
@@ -549,7 +556,7 @@ def run_scenario(
             if observe is not None:
                 observe(report, config)
             for fh, build in sinks:
-                fh.writelines(",".join(r) + "\n" for r in build(sc, config, state, report))
+                fh.writelines(",".join(r) + "\n" for r in build(pf, config, state, report))
     return {
         "paths": paths,
         "config": config,

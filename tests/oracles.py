@@ -12,14 +12,19 @@ import numpy as np
 
 from camsim import (
     EconomyConfig,
+    MarketState,
     Offer,
     PriceDensity,
     PriceSolution,
+    RoundReport,
+    TradeRecord,
+    autarky_energy,
     break_even_price,
     build_price_density,
     buyer_count,
     optimal_price,
 )
+from camsim.market import SelfProduction
 
 
 def validate(producer_of: dict[str, str], config: EconomyConfig) -> None:
@@ -181,3 +186,93 @@ def best_margins_by_cell(config: EconomyConfig) -> dict[str, float]:
         pid: max(mean_cost[jid] - cost_by_cell(config, pid, jid) for jid in jobs)
         for pid in players
     }
+
+
+def execute_round_by_cell(
+    config: EconomyConfig,
+    state: MarketState,
+    offers: list[Offer],
+    record_detail: bool = True,
+) -> tuple[MarketState, RoundReport]:
+    """execute_round by its definition: one cell at a time, buyer by buyer
+    in row order and job by job, updating the ledgers as each cell decides.
+    """
+    best_offers: dict[str, list[Offer]] = {}
+    for off in offers:
+        best_offers.setdefault(off.job, []).append(off)
+
+    state.round += 1
+    transfers: list[float] = []
+    production_energy: list[float] = []
+    system_saved: list[float] = []
+    trades: list[TradeRecord] = []
+    selfs: list[SelfProduction] = []
+    n_trades = 0
+    n_forced = 0
+
+    for buyer in config.player_ids():
+        for jid in config.job_ids():
+            units = config.demand.get((buyer, jid), 0)
+            if not units:
+                continue
+            self_cost = config.cost(buyer, jid)
+            best = next(
+                (o for o in best_offers.get(jid, ()) if o.seller != buyer), None
+            )
+            # Buy only on a strict improvement; ties self-produce.
+            buy = best is not None and best.price < config.conversion * self_cost
+            forced = False
+            if buy:
+                total_price = best.price * units
+                if state.money[buyer] < total_price:
+                    buy = False
+                    forced = True
+                    n_forced += 1
+            if buy:
+                seller_cost = config.cost(best.seller, jid)
+                state.money[buyer] -= total_price
+                state.money[best.seller] += total_price
+                transfers.append(-total_price)
+                transfers.append(total_price)
+                state.energy_spent[best.seller] += units * seller_cost
+                state.energy_saved[buyer] += units * (
+                    self_cost - best.price / config.conversion
+                )
+                production_energy.append(units * seller_cost)
+                saved = units * (self_cost - seller_cost)
+                system_saved.append(saved)
+                n_trades += 1
+                if record_detail:
+                    trades.append(
+                        TradeRecord(
+                            buyer=buyer,
+                            seller=best.seller,
+                            job=jid,
+                            units=units,
+                            price=best.price,
+                            buyer_self_cost=self_cost,
+                            seller_cost=seller_cost,
+                            system_energy_saved=saved,
+                        )
+                    )
+            else:
+                energy = units * self_cost
+                state.energy_spent[buyer] += energy
+                production_energy.append(energy)
+                if record_detail:
+                    selfs.append(
+                        SelfProduction(buyer, jid, units, energy, forced=forced)
+                    )
+
+    report = RoundReport(
+        round=state.round,
+        trades=tuple(trades),
+        self_productions=tuple(selfs),
+        n_trades=n_trades,
+        n_forced=n_forced,
+        money_delta_total=math.fsum(transfers),
+        energy_expended_total=math.fsum(production_energy),
+        energy_saved_total=math.fsum(system_saved),
+        autarky_energy=autarky_energy(config),
+    )
+    return state, report

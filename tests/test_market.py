@@ -17,7 +17,7 @@ from camsim import (
     post_offers,
     run_market,
 )
-from tests.oracles import all_offers
+from tests.oracles import all_offers, execute_round_by_cell
 
 
 def zero_cost_config():
@@ -148,25 +148,30 @@ def test_post_offers_matches_all_sellers_oracle(config):
     assert post_offers(config) == expected
 
 
-def test_post_offers_prices_without_per_candidate_rescans(monkeypatch):
-    """300 players x 3 jobs, priced with buyer_count unavailable.
-
-    A per-candidate buyer_count rescan makes posting cubic in the players
-    per job; the offers must come from the density's suffix counts alone.
-    """
+def three_hundred_players() -> EconomyConfig:
+    """300 players x 3 jobs with uniform efficiencies and unit demand."""
     rng = random.Random(7)
     jobs = [JobSpec(f"j{k}", w) for k, w in enumerate((10.0, 5.5, 2.25))]
     players = [
         Player(f"P{i:03d}", {job.job_id: rng.uniform(0.25, 4.0) for job in jobs})
         for i in range(300)
     ]
-    config = EconomyConfig(
+    return EconomyConfig(
         players=players,
         jobs=jobs,
         demand={(p.player_id, j.job_id): 1 for p in players for j in jobs},
         conversion=1.1,
         price_quantum=0.01,
     )
+
+
+def test_post_offers_prices_without_per_candidate_rescans(monkeypatch):
+    """300 players x 3 jobs, priced with buyer_count unavailable.
+
+    A per-candidate buyer_count rescan makes posting cubic in the players
+    per job; the offers must come from the density's suffix counts alone.
+    """
+    config = three_hundred_players()
     expected = post_offers(config)
 
     def rescan(*args, **kwargs):
@@ -195,6 +200,118 @@ def test_run_market_matches_every_offer_oracle(config, initial_money, rounds):
         state, report = execute_round(config, state, offers)
         reports.append(report)
     assert run_market(config, rounds, initial_money) == (state, reports)
+
+
+def ledgers_hex(state: MarketState) -> tuple[dict[str, str], ...]:
+    return tuple(
+        {pid: float.hex(float(v)) for pid, v in ledger.items()}
+        for ledger in (state.money, state.energy_spent, state.energy_saved)
+    )
+
+
+def assert_rounds_match_the_oracle(config, offers, money, rounds, record_detail):
+    """execute_round and the per-cell loop, from equal states, agree on every
+    ledger bit for bit and on every report, round after round."""
+    fast = MarketState.from_config(config)
+    fast.money.update(money)
+    slow = MarketState.from_config(config)
+    slow.money.update(money)
+    reports = []
+    for _ in range(rounds):
+        fast, report = execute_round(config, fast, offers, record_detail)
+        slow, expected = execute_round_by_cell(config, slow, offers, record_detail)
+        assert report == expected
+        assert ledgers_hex(fast) == ledgers_hex(slow)
+        assert fast.round == slow.round
+        reports.append(report)
+    return reports
+
+
+@st.composite
+def offer_lists(draw, config):
+    """Offers as post_offers posts them, every seller's ranked, one alone, the
+    first seller of each job listed twice, or any sellers at any prices."""
+    kind = draw(st.sampled_from(["posted", "ranked", "single", "twice", "drawn"]))
+    if kind == "posted":
+        return post_offers(config)
+    if kind == "drawn":
+        offer = st.builds(
+            Offer,
+            st.sampled_from(config.player_ids()),
+            st.sampled_from(config.job_ids()),
+            st.floats(-5.0, 50.0),
+        )
+        return draw(st.lists(offer, max_size=6))
+    ranked = ranked_offers(config)
+    if kind == "single":
+        return ranked[:1]
+    if kind == "ranked":
+        return ranked
+    twice = []
+    for o in ranked:
+        twice.append(o)
+        if [x.job for x in twice].count(o.job) == 1:
+            twice.append(Offer(o.seller, o.job, draw(st.floats(0.0, 50.0))))
+    return twice
+
+
+@given(
+    config=economies(),
+    data=st.data(),
+    rounds=st.integers(1, 6),
+    record_detail=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_execute_round_matches_the_per_cell_loop(config, data, rounds, record_detail):
+    """Balances of 0-100 let budgets bind in some rounds and not in others;
+    a balance equal to a purchase's total price must still afford it."""
+    offers = data.draw(offer_lists(config))
+    money = {pid: data.draw(st.floats(0.0, 100.0)) for pid in config.player_ids()}
+    first = {o.job: o for o in reversed(offers)}  # the offer most buyers take
+    priced = [
+        (o, pid)
+        for o in first.values()
+        for pid in money
+        if pid != o.seller and config.demand[pid, o.job]
+    ]
+    if priced and data.draw(st.booleans()):
+        o, pid = data.draw(st.sampled_from(priced))
+        money[pid] = o.price * config.demand[pid, o.job]
+    assert_rounds_match_the_oracle(config, offers, money, rounds, record_detail)
+
+
+def test_reused_detail_then_a_binding_budget(golden):
+    """P3 pays 18 a round: rounds 1 and 2 decide alike and share their
+    records, round 3 finds 4 left and binds, and round 4 decides as round 3."""
+    offers = post_offers(golden)
+    reports = assert_rounds_match_the_oracle(golden, offers, {"P3": 40.0}, 4, True)
+    assert [r.n_forced for r in reports] == [0, 0, 2, 2]
+    assert reports[1].trades is reports[0].trades
+    assert reports[3].self_productions is reports[2].self_productions
+
+
+def test_a_negative_price_decides_its_seller_in_row_order(golden):
+    """P3 sells x at -5, so P1 and P2 each take 5 from it before its own row:
+    its 9 no longer buys y at 9, though its start balance would have."""
+    offers = [Offer("P3", "x", -5.0), Offer("P2", "y", 9.0)]
+    [report] = assert_rounds_match_the_oracle(golden, offers, {"P3": 9.0}, 1, True)
+    assert [(s.player, s.job) for s in report.self_productions if s.forced] == [("P3", "y")]
+
+
+def test_execute_round_reads_no_cost_per_cell(monkeypatch):
+    """One round of 300 players x 3 jobs with EconomyConfig.cost unavailable:
+    the round reads the cost table, never a per-cell lookup."""
+    config = three_hundred_players()
+    offers = post_offers(config)
+    expected = execute_round_by_cell(config, MarketState.from_config(config), offers)
+
+    def lookup(*args, **kwargs):
+        raise AssertionError("EconomyConfig.cost called during a round")
+
+    monkeypatch.setattr(EconomyConfig, "cost", lookup)
+    state, report = execute_round(config, MarketState.from_config(config), offers)
+    assert report == expected[1]
+    assert ledgers_hex(state) == ledgers_hex(expected[0])
 
 
 @given(

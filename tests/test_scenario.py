@@ -171,7 +171,7 @@ YAML_VALUES = st.recursive(
 @settings(max_examples=300)
 @given(where=st.sampled_from(PATHS), value=YAML_VALUES)
 @example(where=("generated", ("population", "params", "low")), value="a")
-def test_any_replaced_value_is_rejected_or_round_trips(where, value):
+def test_any_replaced_value_parses_or_raises_config_error(where, value):
     base, path = where
     raw = copy.deepcopy(GENERATED if base == "generated" else GOLDEN)
     if not path:
@@ -429,8 +429,8 @@ def test_cli_every_config_error_exits_2(tmp_path, capsys, snippet, message):
 
 
 def test_cli_check_variants_stay_within_the_ledger_bound(tmp_path):
-    # One round of 1e308 fits a float, three do not; the no-trade variants
-    # run no more rounds than the scenario.
+    # One round of 1e308 fits a float, two do not; each no-trade variant
+    # runs one round, no more than the scenario.
     cfg = tmp_path / "one-round.yaml"
     snippet = (
         "jobs: [{job_id: x, workload: 1.0e308}]\n"
@@ -452,6 +452,33 @@ def test_cli_negative_seed_exits_2_before_writing(tmp_path, capsys):
     assert main([str(cfg), "-o", str(out), "--seed", "-1"]) == 2
     assert "master_seed must be" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+def test_cli_bad_seed_is_reported_with_the_files_errors(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(golden_with("jobs: 7")))
+    assert main([str(cfg), "-o", str(tmp_path / "out"), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert any("jobs must be a list" in line for line in err)
+    assert "--seed: master_seed must be an integer >= 0" in err
+
+
+def test_cli_seed_stands_in_for_a_missing_master_seed(tmp_path):
+    raw = golden_with(
+        "population: {count: 20, efficiency_distribution: uniform,"
+        " params: {low: 0.5, high: 2.0}}\n"
+        "master_seed: 5\n"
+        "outputs: [density]\n"
+    )
+    seeded = tmp_path / "seeded.yaml"
+    seeded.write_text(yaml.safe_dump(raw))
+    del raw["master_seed"]
+    unseeded = tmp_path / "unseeded.yaml"
+    unseeded.write_text(yaml.safe_dump(raw))
+    assert main([str(seeded), "-o", str(tmp_path / "a")]) == 0
+    assert main([str(unseeded), "-o", str(tmp_path / "b"), "--seed", "5"]) == 0
+    a = (tmp_path / "a" / "density.csv").read_bytes()
+    assert (tmp_path / "b" / "density.csv").read_bytes() == a
 
 
 def test_readme_csv_table_matches_outputs():
