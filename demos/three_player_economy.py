@@ -54,8 +54,8 @@ print(f"  competitor break-evens: {others}, posted price {sol.price:.0f}, "
 state, reports = run_market(config, rounds=5, initial_money=100.0)
 last = reports[-1]
 print(f"\nAfter 5 rounds ({last.n_trades} trades/round):")
-for pid in config.player_ids():
-    print(f"  {pid}: money {state.money[pid]:8.1f}  "
-          f"energy spent {state.energy_spent[pid]:6.1f}")
+# The ledgers are arrays in player_ids() order.
+for pid, money, spent in zip(config.player_ids(), state.money, state.energy_spent):
+    print(f"  {pid}: money {money:8.1f}  energy spent {spent:6.1f}")
 print(f"Round energy expended {last.energy_expended_total:.1f} + saved "
       f"{last.energy_saved_total:.1f} = autarky {last.autarky_energy:.1f}")

@@ -35,19 +35,20 @@ config = EconomyConfig(
 
 state, reports = run_market(config, rounds=500, record_detail=False)
 
-# Wealth relative to the poorest player, so Gini works on nonnegative values.
-base = min(state.money.values())
-wealth = np.array([state.money[p] - base for p in config.player_ids()])
+# The ledgers are arrays in player_ids() order. Wealth is taken relative to
+# the poorest player, so Gini works on nonnegative values.
+money = state.money
+wealth = money - money.min()
 print(f"Trades per round: {reports[-1].n_trades}")
 print(f"Gini of earned wealth: {gini(wealth.tolist()):.3f}")
-earners = sum(m > 1e9 for m in state.money.values())
-print(f"Players with any earnings: {earners} of 100")
+print(f"Players with any earnings: {np.count_nonzero(money > 1e9)} of 100")
 
-rho = efficiency_wealth_correlation(state.money, config)
+rho = efficiency_wealth_correlation(money, config)
 print(f"Spearman best-margin vs wealth: {rho:.3f}")
 
-top = sorted(state.money.items(), key=lambda kv: -kv[1])[:5]
-print("Top earners:", ", ".join(f"{p} (+{m - 1e9:,.0f})" for p, m in top))
+ids = config.player_ids()
+top = np.argsort(-money, kind="stable")[:5]
+print("Top earners:", ", ".join(f"{ids[r]} (+{money[r] - 1e9:,.0f})" for r in top))
 
 _, saved, frac = system_savings_series(reports)[-1]
 print(f"System energy saved per round: {saved:.1f} "

@@ -49,37 +49,35 @@ def pareto_tail_fit(wealths: list[float], tail_fraction: float) -> float:
     return k / log_sum
 
 
-def best_margins(config: EconomyConfig) -> dict[str, float]:
-    """Each player's best cost edge: max over jobs of mean population cost
-    for the job minus the player's own cost.
+def best_margins(config: EconomyConfig) -> np.ndarray:
+    """Each player's best cost edge, in player_ids() order: max over jobs of
+    mean population cost for the job minus the player's own cost.
 
     Each job's mean is the exact ``math.fsum`` of its cost column over the
     number of players; the edges are one array expression over the table.
     """
     costs = config.costs
     means = np.array([math.fsum(column) / len(costs) for column in costs.T])
-    return dict(zip(config.player_ids(), (means - costs).max(axis=1).tolist()))
+    return (means - costs).max(axis=1)
 
 
-def _ranks(x: list[float]) -> np.ndarray:
+def _ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of the ranks they span."""
     _, tie_group, sizes = np.unique(x, return_inverse=True, return_counts=True)
     last = np.cumsum(sizes)
     return (last - (sizes - 1) / 2)[tie_group]
 
 
-def efficiency_wealth_correlation(
-    wealth: dict[str, float], config: EconomyConfig
-) -> float:
-    """Spearman rank correlation between best margin and wealth (money by
-    player id): the Pearson correlation of their ranks."""
-    players = config.player_ids()
-    if len(players) < 3:
+def efficiency_wealth_correlation(wealth: np.ndarray, config: EconomyConfig) -> float:
+    """Spearman rank correlation between best margin and wealth: the Pearson
+    correlation of their ranks. ``wealth`` holds one value per player in
+    ``config.player_ids()`` order, as ``MarketState.money`` does."""
+    if len(config.costs) < 3:
         raise ValueError("need at least 3 players for a rank correlation")
-    margins = best_margins(config)
-    m = [margins[pid] for pid in players]
-    w = [wealth[pid] for pid in players]
-    if len(set(m)) == 1:
+    m, w = best_margins(config), np.asarray(wealth, dtype=float)
+    if w.shape != m.shape:
+        raise ValueError(f"need one wealth per player ({len(m)}), got shape {w.shape}")
+    if (m == m[0]).all():
         raise ValueError("all margins identical; efficiency ranks undefined")
     a, b = (_ranks(x) for x in (m, w))
     a -= a.mean()

@@ -40,8 +40,8 @@ class JobSpec:
 class Player:
     """A market participant with job-specific efficiencies.
 
-    ``money`` is the starting balance; ``None`` means the market's
-    endowment. The running ledgers live in ``market.MarketState``.
+    ``money`` is the starting balance, finite and >= 0; ``None`` means
+    the market's endowment. The running ledgers live in ``market.MarketState``.
     """
 
     player_id: str
@@ -49,6 +49,8 @@ class Player:
     money: float | None = None
 
     def __post_init__(self) -> None:
+        if self.money is not None and not (self.money >= 0 and math.isfinite(self.money)):
+            raise ValueError(f"player {self.player_id!r}: money must be finite and >= 0")
         for job_id, eff in self.efficiencies.items():
             if not (eff > 0 and math.isfinite(eff)):
                 raise ValueError(
@@ -70,10 +72,10 @@ class EconomyConfig:
     sorted player_id order and columns in sorted job_id order, and the ids,
     each job's total demand and the autarky energy are stored beside it.
     ``units`` is the same table of ``demand`` as floats; ``demand`` itself
-    keeps the exact integers.
-    ``round_bound`` is the most one round can move into any ledger, in
-    energy or money. The table is never updated: to change an economy,
-    build a new config with ``dataclasses.replace``, never mutate one.
+    keeps the exact integers; ``market.MarketState`` keeps its ledgers in
+    the same row order. ``round_bound`` is the most one round can move into
+    any ledger, in energy or money. Nothing on a config changes after it is
+    built: to change an economy, build a new one with ``dataclasses.replace``.
     """
 
     players: list[Player]
@@ -152,7 +154,6 @@ class EconomyConfig:
             self.units[self._row[pid], self._col[jid]] = float(units)
         self.units.flags.writeable = False
         self._autarky = math.fsum((self.units * self.costs).ravel().tolist())
-        self._round_plan = None  # market.execute_round's memo of its last offers
 
     def player(self, player_id: str) -> Player:
         return self._players[player_id]

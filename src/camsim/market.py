@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,29 +73,29 @@ class RoundReport:
     autarky_energy: float
 
 
-@dataclass
+@dataclass(eq=False)
 class MarketState:
-    """Per-player ledgers, which execute_round updates in place."""
+    """Per-player ledgers, which execute_round updates in place.
 
-    money: dict[str, float]
-    energy_spent: dict[str, float]
-    energy_saved: dict[str, float]
+    Each ledger is a float64 array in ``config.player_ids()`` order, the row
+    order of ``config.costs``. The state keeps its last round's plan for a
+    next round with the same config object and equal offers. States compare
+    by identity; compare their ledgers.
+    """
+
+    money: np.ndarray
+    energy_spent: np.ndarray
+    energy_saved: np.ndarray
     round: int = 0
+    _plan: _RoundPlan | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_config(
         cls, config: EconomyConfig, initial_money: float = DEFAULT_ENDOWMENT
     ) -> "MarketState":
-        ids = config.player_ids()
-        money = {}
-        for pid in ids:
-            start = config.player(pid).money
-            money[pid] = initial_money if start is None else start
-        return cls(
-            money=money,
-            energy_spent=dict.fromkeys(ids, 0.0),
-            energy_saved=dict.fromkeys(ids, 0.0),
-        )
+        starts = [config.player(pid).money for pid in config.player_ids()]
+        money = np.array([initial_money if m is None else m for m in starts], dtype=float)
+        return cls(money, np.zeros_like(money), np.zeros_like(money))
 
 
 def check_ledger_bound(config: EconomyConfig, state: MarketState, rounds: int) -> None:
@@ -106,7 +106,7 @@ def check_ledger_bound(config: EconomyConfig, state: MarketState, rounds: int) -
     starting balance.
     """
     try:
-        top = rounds * config.round_bound + max(state.money.values(), default=0.0)
+        top = rounds * config.round_bound + float(state.money.max(initial=0.0))
     except OverflowError:
         top = math.inf
     if not math.isfinite(top):
@@ -176,7 +176,7 @@ class _RoundPlan:
     """
 
     def __init__(self, config: EconomyConfig, offers: tuple[Offer, ...]):
-        self.offers = offers
+        self.config, self.offers = config, offers
         row = {pid: r for r, pid in enumerate(config.player_ids())}
         costs, units = config.costs, config.units
         listed: dict[str, list[Offer]] = {}
@@ -258,7 +258,7 @@ class _RoundPlan:
         amounts[0::2], amounts[1::2] = -paid, paid
         np.add.at(money, at, amounts)
 
-    def outcome(self, config: EconomyConfig, buy: np.ndarray, record_detail: bool):
+    def outcome(self, buy: np.ndarray, record_detail: bool):
         """What the decisions ``buy`` fix, besides the transfers.
 
         The last decisions' outcome is kept, so a round that decides as the
@@ -271,13 +271,11 @@ class _RoundPlan:
             or last.decisions != buy.tobytes()
             or (record_detail and last.detail is None)
         ):
-            last = self.last = self._outcome(config, buy, record_detail)
+            last = self.last = self._outcome(buy, record_detail)
         return last
 
-    def _outcome(
-        self, config: EconomyConfig, buy: np.ndarray, record_detail: bool
-    ) -> _Outcome:
-        n_jobs = buy.shape[1]
+    def _outcome(self, buy: np.ndarray, record_detail: bool) -> _Outcome:
+        config, n_jobs = self.config, buy.shape[1]
         costs, units = config.costs.ravel(), config.units.ravel()
         demanded = np.flatnonzero(units > 0)
         b = buy.ravel()[demanded]
@@ -355,24 +353,18 @@ def execute_round(
     The round is decided in arrays (see ``_RoundPlan.decide``) and gives
     the ledgers, records and totals of a loop over the cells, buyer by
     buyer and job by job, bit for bit; that loop is the tests' oracle. The
-    plan for the last offers is kept on the config.
+    plan is kept on ``state`` and built again when the config or the offers
+    differ from its last round's.
     """
     key = tuple(offers)
-    plan = config._round_plan
-    if plan is None or plan.offers != key:
-        plan = config._round_plan = _RoundPlan(config, key)
-    ids = config.player_ids()
-    ledgers = (state.money, state.energy_spent, state.energy_saved)
-    money, spent, saved = (
-        np.fromiter(map(ledger.__getitem__, ids), float, len(ids)) for ledger in ledgers
-    )
-    buy = plan.decide(money)
-    outcome = plan.outcome(config, buy, record_detail)
+    plan = state._plan
+    if plan is None or plan.config is not config or plan.offers != key:
+        plan = state._plan = _RoundPlan(config, key)
+    buy = plan.decide(state.money)
+    outcome = plan.outcome(buy, record_detail)
     # Each energy ledger gets its additions in cell order, as in the loop.
-    np.add.at(spent, *outcome.spent)
-    np.add.at(saved, *outcome.saved)
-    for ledger, values in zip(ledgers, (money, spent, saved)):
-        ledger.update(zip(ids, values.tolist()))
+    np.add.at(state.energy_spent, *outcome.spent)
+    np.add.at(state.energy_saved, *outcome.saved)
     state.round += 1
     report = RoundReport(
         round=state.round,

@@ -19,8 +19,8 @@ from __future__ import annotations
 import decimal
 import hashlib
 import math
-from collections.abc import Callable, Sequence
-from contextlib import ExitStack
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -386,14 +386,20 @@ def export_csv(rows: list[tuple], header: Sequence[str], path: str | Path) -> Pa
     responsibility so that column precision rules stay per output type.
     """
     path = Path(path)
+    with _writing(path), open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+    return path
+
+
+@contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    """Raise an OSError from the block again as ``failed writing <path>: ...``."""
     try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+        yield
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
-    return path
 
 
 Rows = list[tuple[str, ...]]
@@ -432,15 +438,11 @@ def _trade_rows(
 def _wealth_rows(
     pf: str, config: EconomyConfig, state: MarketState, report: RoundReport
 ) -> Rows:
+    rnd = str(state.round)
+    ledgers = (a.tolist() for a in (state.money, state.energy_spent, state.energy_saved))
     return [
-        (
-            str(state.round),
-            pid,
-            format(state.money[pid], pf),
-            _fe(state.energy_spent[pid]),
-            _fe(state.energy_saved[pid]),
-        )
-        for pid in config.player_ids()
+        (rnd, pid, format(money, pf), _fe(spent), _fe(saved))
+        for pid, money, spent, saved in zip(config.player_ids(), *ledgers)
     ]
 
 
@@ -545,9 +547,10 @@ def run_scenario(
             if kind not in PER_ROUND:
                 export_csv(build(sc, config), header, path)
                 continue
-            fh = files.enter_context(open(path, "w", newline="\n"))
-            fh.write(",".join(header) + "\n")
-            sinks.append((fh, build))
+            with _writing(path):
+                fh = files.enter_context(open(path, "w", newline="\n"))
+                fh.write(",".join(header) + "\n")
+            sinks.append((path, fh, build))
         for _ in range(sc.rounds):
             state, report = execute_round(
                 config, state, offers=offers, record_detail="trades" in paths
@@ -555,8 +558,13 @@ def run_scenario(
             n_trades += report.n_trades
             if observe is not None:
                 observe(report, config)
-            for fh, build in sinks:
-                fh.writelines(",".join(r) + "\n" for r in build(pf, config, state, report))
+            for path, fh, build in sinks:
+                rows = build(pf, config, state, report)
+                with _writing(path):
+                    fh.writelines(",".join(r) + "\n" for r in rows)
+        for path, fh, _ in sinks:
+            with _writing(path):
+                fh.close()
     return {
         "paths": paths,
         "config": config,

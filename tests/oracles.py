@@ -175,17 +175,18 @@ def cost_matrix_by_cell(config: EconomyConfig) -> np.ndarray:
     return out
 
 
-def best_margins_by_cell(config: EconomyConfig) -> dict[str, float]:
+def best_margins_by_cell(config: EconomyConfig) -> list[float]:
+    """Each player's best margin, in player_ids() order."""
     players = config.player_ids()
     jobs = config.job_ids()
     mean_cost = {
         jid: math.fsum(cost_by_cell(config, pid, jid) for pid in players) / len(players)
         for jid in jobs
     }
-    return {
-        pid: max(mean_cost[jid] - cost_by_cell(config, pid, jid) for jid in jobs)
+    return [
+        max(mean_cost[jid] - cost_by_cell(config, pid, jid) for jid in jobs)
         for pid in players
-    }
+    ]
 
 
 def execute_round_by_cell(
@@ -200,6 +201,7 @@ def execute_round_by_cell(
     best_offers: dict[str, list[Offer]] = {}
     for off in offers:
         best_offers.setdefault(off.job, []).append(off)
+    row = {pid: r for r, pid in enumerate(config.player_ids())}
 
     state.round += 1
     transfers: list[float] = []
@@ -224,18 +226,18 @@ def execute_round_by_cell(
             forced = False
             if buy:
                 total_price = best.price * units
-                if state.money[buyer] < total_price:
+                if state.money[row[buyer]] < total_price:
                     buy = False
                     forced = True
                     n_forced += 1
             if buy:
                 seller_cost = config.cost(best.seller, jid)
-                state.money[buyer] -= total_price
-                state.money[best.seller] += total_price
+                state.money[row[buyer]] -= total_price
+                state.money[row[best.seller]] += total_price
                 transfers.append(-total_price)
                 transfers.append(total_price)
-                state.energy_spent[best.seller] += units * seller_cost
-                state.energy_saved[buyer] += units * (
+                state.energy_spent[row[best.seller]] += units * seller_cost
+                state.energy_saved[row[buyer]] += units * (
                     self_cost - best.price / config.conversion
                 )
                 production_energy.append(units * seller_cost)
@@ -257,7 +259,7 @@ def execute_round_by_cell(
                     )
             else:
                 energy = units * self_cost
-                state.energy_spent[buyer] += energy
+                state.energy_spent[row[buyer]] += energy
                 production_energy.append(energy)
                 if record_detail:
                     selfs.append(

@@ -174,9 +174,8 @@ def test_criterion_7_wealth_concentration():
         demand={(p.player_id, j.job_id): 1 for p in players for j in jobs},
     )
     state, _ = run_market(cfg, 500, record_detail=False)
-    base = min(state.money.values())
-    wealth = {pid: m - base for pid, m in state.money.items()}
-    g = gini(list(wealth.values()))
+    wealth = state.money - state.money.min()
+    g = gini(wealth.tolist())
     rho = efficiency_wealth_correlation(state.money, cfg)
     assert g > 0
     assert rho >= 0.8

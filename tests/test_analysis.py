@@ -77,9 +77,7 @@ def test_correlation_negative_control():
     # distinct efficiencies so the margin ranking has no ties
     players = [Player(f"P{i}", {"x": 1.0 + i}) for i in range(4)]
     cfg = EconomyConfig(players=players, jobs=[JobSpec("x", 12.0)])
-    margins = best_margins(cfg)
-    order = sorted(margins, key=margins.get)
-    wealth = {pid: float(len(order) - i) for i, pid in enumerate(order)}
+    wealth = -best_margins(cfg)  # the largest margin is the poorest
     assert efficiency_wealth_correlation(wealth, cfg) == -1.0
 
 
@@ -96,14 +94,13 @@ def test_correlation_matches_scipy_spearman(pairs):
 
     players = [Player(f"P{i:02d}", {"x": float(eff)}) for i, (eff, _) in enumerate(pairs)]
     cfg = EconomyConfig(players=players, jobs=[JobSpec("x", 12.0)])
-    wealth = {p.player_id: float(w) for p, (_, w) in zip(players, pairs)}
-    margins = best_margins(cfg)
-    if len(set(margins.values())) == 1 or len(set(wealth.values())) == 1:
+    wealth = [float(w) for _, w in pairs]  # ids P00, P01, ... sort as listed
+    margins = best_margins(cfg).tolist()
+    if len(set(margins)) == 1 or len(set(wealth)) == 1:
         with pytest.raises(ValueError):
             efficiency_wealth_correlation(wealth, cfg)
         return
-    ids = cfg.player_ids()
-    rho = stats.spearmanr([margins[p] for p in ids], [wealth[p] for p in ids]).statistic
+    rho = stats.spearmanr(margins, wealth).statistic
     assert efficiency_wealth_correlation(wealth, cfg) == pytest.approx(rho, rel=0, abs=1e-15)
 
 
@@ -112,7 +109,7 @@ def test_correlation_degenerate_efficiencies():
 
     players = [Player(f"P{i}", {"x": 1.0}) for i in range(4)]
     cfg = EconomyConfig(players=players, jobs=[JobSpec("x", 5.0)])
-    wealth = {p.player_id: 1.0 for p in players}
+    wealth = [1.0] * len(players)
     with pytest.raises(ValueError):
         efficiency_wealth_correlation(wealth, cfg)
 
@@ -123,7 +120,17 @@ def test_correlation_too_few_players():
     players = [Player("a", {"x": 1.0}), Player("b", {"x": 2.0})]
     cfg = EconomyConfig(players=players, jobs=[JobSpec("x", 5.0)])
     with pytest.raises(ValueError, match="need at least 3 players"):
-        efficiency_wealth_correlation({"a": 1.0, "b": 2.0}, cfg)
+        efficiency_wealth_correlation([1.0, 2.0], cfg)
+
+
+def test_correlation_needs_one_wealth_per_player():
+    from camsim import EconomyConfig, JobSpec, Player
+
+    players = [Player(f"P{i}", {"x": 1.0 + i}) for i in range(4)]
+    cfg = EconomyConfig(players=players, jobs=[JobSpec("x", 5.0)])
+    for wealth in ([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0, 4.0]]):
+        with pytest.raises(ValueError, match="one wealth per player"):
+            efficiency_wealth_correlation(wealth, cfg)
 
 
 def test_savings_series_golden():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -83,7 +84,7 @@ def test_table_matches_per_cell_definitions(config):
         assert config.total_demand(jid) == total_demand_by_scan(config, jid)
     assert autarky_energy(config) == autarky_by_cell(config)
     assert np.array_equal(cost_matrix(config), cost_matrix_by_cell(config))
-    assert best_margins(config) == best_margins_by_cell(config)
+    assert best_margins(config).tolist() == best_margins_by_cell(config)
     ids, jobs = config.player_ids(), config.job_ids()
     ids.append("ghost")
     jobs.clear()
@@ -149,6 +150,18 @@ def test_autarky_matches_brute_force_sum(golden):
             units = golden.demand.get((p.player_id, j.job_id), 0)
             expected += units * j.workload / p.efficiencies[j.job_id]
     assert autarky_energy(golden) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "money", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"]
+)
+def test_player_money_must_be_finite_and_nonnegative(golden, money):
+    """The YAML rule's bound holds for players built in code too: a NaN
+    balance would pass the ledger bound and every conservation check."""
+    p2 = golden.players[1]
+    with pytest.raises(ValueError, match="'P2': money must be finite and >= 0"):
+        dataclasses.replace(p2, money=money)
+    assert Player("P2", p2.efficiencies, money=0.0).money == 0.0
 
 
 def test_config_validation():

@@ -199,23 +199,34 @@ def test_run_market_matches_every_offer_oracle(config, initial_money, rounds):
     for _ in range(rounds):
         state, report = execute_round(config, state, offers)
         reports.append(report)
-    assert run_market(config, rounds, initial_money) == (state, reports)
+    ran, ran_reports = run_market(config, rounds, initial_money)
+    assert ran_reports == reports
+    assert ledgers_hex(ran) == ledgers_hex(state)
+    assert ran.round == state.round
 
 
-def ledgers_hex(state: MarketState) -> tuple[dict[str, str], ...]:
+def ledgers_hex(state: MarketState) -> tuple[tuple[str, ...], ...]:
+    """Every ledger, in row order, as exact hex floats."""
     return tuple(
-        {pid: float.hex(float(v)) for pid, v in ledger.items()}
+        tuple(map(float.hex, ledger.tolist()))
         for ledger in (state.money, state.energy_spent, state.energy_saved)
     )
+
+
+def state_with(config, money):
+    """A fresh state whose balances are ``money`` for the players it names."""
+    state = MarketState.from_config(config)
+    ids = config.player_ids()
+    for pid, balance in money.items():
+        state.money[ids.index(pid)] = balance
+    return state
 
 
 def assert_rounds_match_the_oracle(config, offers, money, rounds, record_detail):
     """execute_round and the per-cell loop, from equal states, agree on every
     ledger bit for bit and on every report, round after round."""
-    fast = MarketState.from_config(config)
-    fast.money.update(money)
-    slow = MarketState.from_config(config)
-    slow.money.update(money)
+    fast = state_with(config, money)
+    slow = state_with(config, money)
     reports = []
     for _ in range(rounds):
         fast, report = execute_round(config, fast, offers, record_detail)
@@ -314,6 +325,24 @@ def test_execute_round_reads_no_cost_per_cell(monkeypatch):
     assert ledgers_hex(state) == ledgers_hex(expected[0])
 
 
+def test_the_round_plan_is_kept_per_config(golden):
+    """A state that ran a round under one config runs the next under another
+    with the same ids and offers but other costs: P3 now makes x itself,
+    cheaper than the 9 offered, and pays 20 a unit of y. The second round
+    must not reuse the first config's plan."""
+    offers = post_offers(golden)
+    p1, p2, p3 = golden.players
+    faster = dataclasses.replace(p3, efficiencies={"x": 4.0, "y": 0.5})
+    other = dataclasses.replace(golden, players=[p1, p2, faster])
+    state, _ = execute_round(golden, MarketState.from_config(golden), offers)
+    slow, _ = execute_round_by_cell(golden, MarketState.from_config(golden), offers)
+    state, report = execute_round(other, state, offers)
+    slow, expected = execute_round_by_cell(other, slow, offers)
+    assert report == expected
+    assert ("P3", "x") in {(s.player, s.job) for s in report.self_productions}
+    assert ledgers_hex(state) == ledgers_hex(slow)
+
+
 @given(
     config=economies(),
     initial_money=st.floats(0.0, 100.0),
@@ -328,7 +357,8 @@ def test_a_round_without_trades_repeats(config, initial_money, rounds):
     if reports[0].n_trades == 0:
         assert all(r.n_trades == 0 for r in reports)
         assert all(r.n_forced == reports[0].n_forced for r in reports)
-        assert state.money == MarketState.from_config(config, initial_money).money
+        start = MarketState.from_config(config, initial_money)
+        assert state.money.tobytes() == start.money.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -362,12 +392,10 @@ def test_execute_round_golden_trace(golden):
     assert report.energy_saved_total == 20.0
     assert report.money_delta_total == 0.0
     # buyers save self_cost - price/conversion = 10 - 9 = 1 per unit bought
-    assert state.energy_saved == {"P1": 1.0, "P2": 1.0, "P3": 2.0}
-    assert state.energy_spent == {"P1": 15.0, "P2": 15.0, "P3": 0.0}
+    assert state.energy_saved.tolist() == [1.0, 1.0, 2.0]  # P1, P2, P3
+    assert state.energy_spent.tolist() == [15.0, 15.0, 0.0]
     base = 1e9
-    assert state.money["P1"] == base + 9
-    assert state.money["P2"] == base + 9
-    assert state.money["P3"] == base - 18
+    assert state.money.tolist() == [base + 9, base + 9, base - 18]
 
 
 def test_zero_cost_economy_never_trades():
@@ -419,13 +447,13 @@ def test_conservation_check_empty_round():
 
 def test_insufficient_money_forces_self_production(golden):
     state = MarketState.from_config(golden)
-    state.money["P3"] = 5.0  # cannot afford a 9.0 purchase
+    state.money[2] = 5.0  # P3 cannot afford a 9.0 purchase
     offers = post_offers(golden)
     new, report = execute_round(golden, state, offers=offers)
     assert report.n_forced == 2
     forced = [s for s in report.self_productions if s.forced]
     assert {(s.player, s.job) for s in forced} == {("P3", "x"), ("P3", "y")}
-    assert new.money["P3"] == 5.0
+    assert new.money[2] == 5.0
     assert conservation_check(report, golden)
 
 
@@ -434,14 +462,14 @@ def test_execute_round_updates_the_given_state(golden):
     new, _ = execute_round(golden, state, post_offers(golden))
     assert new is state
     assert state.round == 1
-    assert state.money != MarketState.from_config(golden).money
+    assert state.money.tolist() != MarketState.from_config(golden).money.tolist()
 
 
 def test_explicit_zero_money_starts_at_zero(golden):
     p1, p2, p3 = golden.players
     cfg = dataclasses.replace(golden, players=[p1, p2, dataclasses.replace(p3, money=0.0)])
     state = MarketState.from_config(cfg, initial_money=100.0)
-    assert state.money == {"P1": 100.0, "P2": 100.0, "P3": 0.0}
+    assert state.money.tolist() == [100.0, 100.0, 0.0]
     _, report = execute_round(cfg, state, post_offers(cfg))
     assert report.round == 1
     assert report.n_forced == 2  # P3 has nothing to buy with
@@ -451,19 +479,17 @@ def test_determinism(golden):
     s1, r1 = run_market(golden, 5)
     s2, r2 = run_market(golden, 5)
     assert r1 == r2
-    assert s1.money == s2.money
-    assert s1.energy_spent == s2.energy_spent
+    assert ledgers_hex(s1) == ledgers_hex(s2)
 
 
 def test_energy_spent_monotone(golden):
     state = MarketState.from_config(golden)
     offers = post_offers(golden)
-    prev = dict(state.energy_spent)
+    prev = state.energy_spent.copy()
     for _ in range(4):
         state, _ = execute_round(golden, state, offers=offers)
-        for pid, spent in state.energy_spent.items():
-            assert spent >= prev[pid]
-        prev = dict(state.energy_spent)
+        assert (state.energy_spent >= prev).all()
+        prev = state.energy_spent.copy()
 
 
 def test_record_detail_flag_keeps_totals(golden):

@@ -102,7 +102,7 @@ def test_money_omitted_is_endowment_and_zero_is_zero():
     sc = parse_mapping(raw)
     assert [p.money for p in sc.players] == [None, None, 0.0]
     state = MarketState.from_config(build_economy(sc), sc.initial_money)
-    assert state.money == {"P1": 50.0, "P2": 50.0, "P3": 0.0}
+    assert state.money.tolist() == [50.0, 50.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -305,6 +305,31 @@ def test_cli_unwritable_output_directory_exits_2(tmp_path, capsys, below):
     assert main([str(DATA / "golden.yaml"), "-o", str(blocker / below)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(blocker) in err
+
+
+@pytest.mark.parametrize("kind", ["trades", "density"])
+def test_cli_unwritable_csv_exits_2_naming_it(tmp_path, capsys, kind):
+    """A per-round CSV and a whole-file CSV fail with the same message."""
+    out = tmp_path / "out"
+    (out / f"{kind}.csv").mkdir(parents=True)
+    assert main([str(DATA / "golden.yaml"), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"failed writing {out / kind}.csv: ")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("kind", ["savings", "density"])
+def test_cli_csv_on_a_full_device_exits_2_naming_it(tmp_path, capsys, kind):
+    """A CSV that opens but cannot be written (every write to /dev/full fails
+    with ENOSPC, here when the buffer is flushed) names the file too."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / f"{kind}.csv").symlink_to("/dev/full")
+    assert main([str(DATA / "golden.yaml"), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"failed writing {out / kind}.csv: ")
 
 
 def test_run_scenario_memory_does_not_grow_with_rounds(tmp_path):
