@@ -20,6 +20,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _finite(x: float, positive: bool = False) -> bool:
+    """Whether x is a finite number, > 0 if ``positive`` and >= 0 otherwise.
+
+    As in the YAML rules, a boolean is not a number, and an int too large
+    for a float is not finite.
+    """
+    if isinstance(x, bool):
+        return False
+    try:
+        return (x > 0 if positive else x >= 0) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """A job type with an intrinsic per-unit workload in energy units.
@@ -32,7 +46,7 @@ class JobSpec:
     workload: float
 
     def __post_init__(self) -> None:
-        if not (self.workload >= 0 and math.isfinite(self.workload)):
+        if not _finite(self.workload):
             raise ValueError(f"job {self.job_id!r}: workload must be finite and >= 0")
 
 
@@ -49,10 +63,10 @@ class Player:
     money: float | None = None
 
     def __post_init__(self) -> None:
-        if self.money is not None and not (self.money >= 0 and math.isfinite(self.money)):
+        if self.money is not None and not _finite(self.money):
             raise ValueError(f"player {self.player_id!r}: money must be finite and >= 0")
         for job_id, eff in self.efficiencies.items():
-            if not (eff > 0 and math.isfinite(eff)):
+            if not _finite(eff, positive=True):
                 raise ValueError(
                     f"player {self.player_id!r}: efficiency for job {job_id!r} "
                     f"must be finite and > 0, got {eff}"
@@ -85,9 +99,9 @@ class EconomyConfig:
     price_quantum: float = 0.01
 
     def __post_init__(self) -> None:
-        if not (self.conversion > 0 and math.isfinite(self.conversion)):
+        if not _finite(self.conversion, positive=True):
             raise ValueError("conversion must be finite and > 0")
-        if not (self.price_quantum > 0 and math.isfinite(self.price_quantum)):
+        if not _finite(self.price_quantum, positive=True):
             raise ValueError("price_quantum must be finite and > 0")
         ids = [p.player_id for p in self.players]
         if len(set(ids)) != len(ids):

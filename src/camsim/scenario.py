@@ -9,8 +9,8 @@ numpy SeedSequence spawn keys: ``(0,)`` for population generation and
 Identical config bytes therefore give byte-identical output files.
 
 A run is one streaming pass. The per-round outputs (trades, wealth,
-savings) are opened once, and each round's rows are written as the round
-ends, then dropped; the round ledgers are updated in place. Only the
+savings) are opened once, and each round's CSV lines are written as the
+round ends, then dropped; the round ledgers are updated in place. Only the
 outputs that do not depend on the rounds (density, walk) are built whole.
 """
 
@@ -379,17 +379,16 @@ def build_economy(sc: ScenarioConfig) -> EconomyConfig:
     )
 
 
-def export_csv(rows: list[tuple], header: Sequence[str], path: str | Path) -> Path:
-    """Write rows with a header, LF endings, and no locale formatting.
+def export_csv(rows: list[str], header: Sequence[str], path: str | Path) -> Path:
+    """Write the header, then ``rows``: finished CSV lines, each ending in ``"\\n"``.
 
-    Cells must already be strings; numeric formatting is the caller's
-    responsibility so that column precision rules stay per output type.
+    The file has LF endings. The builders format every cell, without the
+    locale, so that each output type keeps its own column precision.
     """
     path = Path(path)
     with _writing(path), open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(rows)
     return path
 
 
@@ -402,80 +401,64 @@ def _writing(path: Path) -> Iterator[None]:
         raise OSError(f"failed writing {path}: {exc}") from exc
 
 
-Rows = list[tuple[str, ...]]
-
-
-def _fe(x: float) -> str:
-    """An energy-valued cell."""
-    return f"{x:.9f}"
-
-
 def _price_format(sc: ScenarioConfig) -> str:
     """Prices print at the price quantum's decimals: 0.01 gives '.2f'."""
     exponent = decimal.Decimal(repr(sc.price_quantum)).normalize().as_tuple().exponent
     return f".{max(0, -int(exponent))}f"
 
 
-def _trade_rows(
+def _trade_lines(
     pf: str, config: EconomyConfig, state: MarketState, report: RoundReport
-) -> Rows:
+) -> list[str]:
     return [
-        (
-            str(report.round),
-            t.buyer,
-            t.seller,
-            t.job,
-            str(t.units),
-            format(t.price, pf),
-            _fe(t.buyer_self_cost),
-            _fe(t.seller_cost),
-            _fe(t.system_energy_saved),
-        )
+        f"{report.round},{t.buyer},{t.seller},{t.job},{t.units},{t.price:{pf}},"
+        f"{t.buyer_self_cost:.9f},{t.seller_cost:.9f},{t.system_energy_saved:.9f}\n"
         for t in report.trades
     ]
 
 
-def _wealth_rows(
+def _wealth_lines(
     pf: str, config: EconomyConfig, state: MarketState, report: RoundReport
-) -> Rows:
-    rnd = str(state.round)
+) -> list[str]:
     ledgers = (a.tolist() for a in (state.money, state.energy_spent, state.energy_saved))
     return [
-        (rnd, pid, format(money, pf), _fe(spent), _fe(saved))
+        f"{state.round},{pid},{money:{pf}},{spent:.9f},{saved:.9f}\n"
         for pid, money, spent, saved in zip(config.player_ids(), *ledgers)
     ]
 
 
-def _savings_rows(
+def _savings_lines(
     pf: str, config: EconomyConfig, state: MarketState, report: RoundReport
-) -> Rows:
+) -> list[str]:
     [(rnd, saved, frac)] = system_savings_series([report])
-    energies = (report.autarky_energy, report.energy_expended_total, saved, frac)
-    return [(str(rnd), *map(_fe, energies))]
+    autarky, expended = report.autarky_energy, report.energy_expended_total
+    return [f"{rnd},{autarky:.9f},{expended:.9f},{saved:.9f},{frac:.9f}\n"]
 
 
-def _density_rows(sc: ScenarioConfig, config: EconomyConfig) -> Rows:
-    rows, pf = [], _price_format(sc)
+def _density_lines(sc: ScenarioConfig, config: EconomyConfig) -> list[str]:
+    lines, pf = [], _price_format(sc)
     for c, jid in enumerate(config.job_ids()):
         break_evens = (config.conversion * config.costs[:, c]).tolist()
         atoms = build_price_density(break_evens).atoms
-        rows += [(jid, format(price, pf), str(mass)) for price, mass in atoms]
-    return rows
+        lines += [f"{jid},{price:{pf}},{mass}\n" for price, mass in atoms]
+    return lines
 
 
-def _walk_rows(sc: ScenarioConfig, config: EconomyConfig) -> Rows:
-    rows = []
+def _walk_lines(sc: ScenarioConfig, config: EconomyConfig) -> list[str]:
+    lines = []
     for i in range(sc.walk.traces):
         seed = derive_trace_seed(sc.master_seed, i)
         values = simulate_walk(sc.walk.params, sc.walk.steps, seed).values.tolist()
-        rows += [(str(i), str(step), _fe(v)) for step, v in enumerate(values)]
-    return rows
+        lines += [f"{i},{step},{v:.9f}\n" for step, v in enumerate(values)]
+    return lines
 
 
-# Each output kind's CSV header and row builder; a selected kind is written
-# to <kind>.csv. The builders of PER_ROUND kinds take the run's price format
-# and one round's (config, state, report) and give that round's rows; the
-# others take (sc, config) and give the whole file.
+# Each output kind's CSV header and line builder; a selected kind is written
+# to <kind>.csv. A builder gives finished CSV lines, energies at 9 decimals
+# and prices at the price quantum's decimals. The builders of PER_ROUND kinds
+# take the run's price format and one round's (config, state, report) and
+# give that round's lines; the others take (sc, config) and give the whole
+# file.
 OUTPUTS = {
     "trades": (
         (
@@ -489,18 +472,18 @@ OUTPUTS = {
             "seller_cost",
             "system_energy_saved",
         ),
-        _trade_rows,
+        _trade_lines,
     ),
     "wealth": (
         ("round", "player", "money", "energy_spent", "energy_saved"),
-        _wealth_rows,
+        _wealth_lines,
     ),
     "savings": (
         ("round", "autarky_energy", "energy_expended", "energy_saved", "saved_fraction"),
-        _savings_rows,
+        _savings_lines,
     ),
-    "density": (("job", "price", "mass"), _density_rows),
-    "walk": (("trace", "step", "value"), _walk_rows),
+    "density": (("job", "price", "mass"), _density_lines),
+    "walk": (("trace", "step", "value"), _walk_lines),
 }
 OUTPUT_KINDS = tuple(OUTPUTS)
 PER_ROUND = ("trades", "wealth", "savings")
@@ -513,9 +496,9 @@ def run_scenario(
 ) -> dict[str, Any]:
     """Execute a scenario end to end and write every selected output.
 
-    The rounds stream: after each round its rows are appended to the
+    The rounds stream: after each round its lines are appended to the
     per-round CSVs, and ``observe(report, config)``, when given, sees its
-    report. No round's state, report or rows outlive the round, so memory
+    report. No round's state, report or lines outlive the round, so memory
     does not grow with the number of rounds.
 
     Returns the paths written (``paths``), the economy (``config``), the
@@ -559,9 +542,8 @@ def run_scenario(
             if observe is not None:
                 observe(report, config)
             for path, fh, build in sinks:
-                rows = build(pf, config, state, report)
                 with _writing(path):
-                    fh.writelines(",".join(r) + "\n" for r in rows)
+                    fh.writelines(build(pf, config, state, report))
         for path, fh, _ in sinks:
             with _writing(path):
                 fh.close()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,29 @@ def test_player_money_must_be_finite_and_nonnegative(golden, money):
     with pytest.raises(ValueError, match="'P2': money must be finite and >= 0"):
         dataclasses.replace(p2, money=money)
     assert Player("P2", p2.efficiencies, money=0.0).money == 0.0
+
+
+HUGE = 10**400  # an int too large for a float
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda v: Player("P", {"x": v}), "'P': efficiency for job 'x' must be"),
+        (lambda v: Player("P", {"x": 1.0}, money=v), "'P': money must be finite"),
+        (lambda v: JobSpec("x", v), "'x': workload must be finite and >= 0"),
+        (lambda v: EconomyConfig([], [], conversion=v), "conversion must be finite"),
+        (lambda v: EconomyConfig([], [], price_quantum=v), "price_quantum must be"),
+    ],
+    ids=["efficiency", "money", "workload", "conversion", "price_quantum"],
+)
+@pytest.mark.parametrize("value", [HUGE, True], ids=["huge_int", "bool"])
+def test_numbers_built_in_code_follow_the_yaml_rules(build, message, value):
+    """An int too large for a float is not finite, and a boolean is not a
+    number: each raises the constructor's ValueError, as the YAML rules do."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(value)
+    build(1)  # an int that fits is a number
 
 
 def test_config_validation():

@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/ runs to completion against the package in src/,
+with warnings as errors, as pyproject.toml sets them for the tests."""
 
 import os
 import subprocess
@@ -15,6 +16,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(demo)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

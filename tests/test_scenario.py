@@ -232,7 +232,7 @@ def test_zero_cost_scenario_header_only(tmp_path):
 
 def test_export_csv_shapes(tmp_path):
     path = export_csv(
-        [("1", "a", "2.00"), ("1", "b", "3.00")],
+        ["1,a,2.00\n", "1,b,3.00\n"],
         ["round", "player", "money"],
         tmp_path / "t.csv",
     )
@@ -240,6 +240,45 @@ def test_export_csv_shapes(tmp_path):
     assert text == "round,player,money\n1,a,2.00\n1,b,3.00\n"
     empty = export_csv([], ["price", "mass"], tmp_path / "e.csv")
     assert empty.read_text() == "price,mass\n"
+
+
+def test_every_csv_line_ends_and_fits_its_header(tmp_path):
+    """Each builder's lines end in a newline and have one field per column."""
+    sc = parse_mapping(
+        golden_with(
+            "outputs: [trades, wealth, savings, density, walk]\n"
+            "walk: {true_price: 1.0, eta: 0.5, sigma: 0.1, steps: 5, traces: 2}\n"
+        )
+    )
+    paths = run_scenario(sc, tmp_path)["paths"]
+    assert sorted(paths) == sorted(OUTPUTS)
+    for kind, path in paths.items():
+        header, _ = OUTPUTS[kind]
+        lines = path.read_bytes().decode().split("\n")
+        assert lines.pop() == "", kind  # the last line ends in a newline too
+        assert lines[0] == ",".join(header)
+        assert len(lines) > 1, kind
+        for line in lines:
+            assert len(line.split(",")) == len(header), (kind, line)
+
+
+def test_walk_csv_memory_per_step(tmp_path):
+    """walk.csv is built whole, as one finished line per step."""
+    steps = 20_000
+    sc = parse_mapping(
+        golden_with(
+            "outputs: [walk]\n"
+            f"walk: {{true_price: 1.0, eta: 0.5, sigma: 0.1, steps: {steps}}}\n"
+        )
+    )
+    run_scenario(sc, tmp_path / "warm-up")  # so that one-off caches do not count
+    tracemalloc.start()
+    try:
+        run_scenario(sc, tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * steps, peak / steps
 
 
 def test_cli_runs_and_checks(tmp_path, capsys):
