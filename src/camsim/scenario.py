@@ -10,7 +10,8 @@ Identical config bytes therefore give byte-identical output files.
 
 A run is one streaming pass. The per-round outputs (trades, wealth,
 savings) are opened once, and each round's CSV lines are written as the
-round ends, then dropped; the round ledgers are updated in place. Only the
+round ends, then dropped; the round ledgers are updated in place. A round
+that repeats the last round's trades reuses their formatted lines. Only the
 outputs that do not depend on the rounds (density, walk) are built whole.
 """
 
@@ -35,6 +36,7 @@ from .market import (
     DEFAULT_ENDOWMENT,
     MarketState,
     RoundReport,
+    TradeRecord,
     check_ledger_bound,
     execute_round,
     post_offers,
@@ -407,13 +409,11 @@ def _price_format(sc: ScenarioConfig) -> str:
     return f".{max(0, -int(exponent))}f"
 
 
-def _trade_lines(
-    pf: str, config: EconomyConfig, state: MarketState, report: RoundReport
-) -> list[str]:
+def _trade_lines(pf: str, trades: tuple[TradeRecord, ...]) -> list[str]:
     return [
-        f"{report.round},{t.buyer},{t.seller},{t.job},{t.units},{t.price:{pf}},"
-        f"{t.buyer_self_cost:.9f},{t.seller_cost:.9f},{t.system_energy_saved:.9f}\n"
-        for t in report.trades
+        f"{t.buyer},{t.seller},{t.job},{t.units},{t.price:{pf}},"
+        f"{t.buyer_self_cost:.9f},{t.seller_cost:.9f},{t.system_energy_saved:.9f}"
+        for t in trades
     ]
 
 
@@ -455,10 +455,11 @@ def _walk_lines(sc: ScenarioConfig, config: EconomyConfig) -> list[str]:
 
 # Each output kind's CSV header and line builder; a selected kind is written
 # to <kind>.csv. A builder gives finished CSV lines, energies at 9 decimals
-# and prices at the price quantum's decimals. The builders of PER_ROUND kinds
-# take the run's price format and one round's (config, state, report) and
-# give that round's lines; the others take (sc, config) and give the whole
-# file.
+# and prices at the price quantum's decimals. The trades builder takes the
+# run's price format and one round's trade records, and gives their lines
+# without the round and the newline. The other PER_ROUND builders take the
+# price format and one round's (config, state, report) and give that round's
+# lines; the rest take (sc, config) and give the whole file.
 OUTPUTS = {
     "trades": (
         (
@@ -498,8 +499,9 @@ def run_scenario(
 
     The rounds stream: after each round its lines are appended to the
     per-round CSVs, and ``observe(report, config)``, when given, sees its
-    report. No round's state, report or lines outlive the round, so memory
-    does not grow with the number of rounds.
+    report. No round's state or report outlives the round, and only the
+    last distinct trades' lines do, so memory does not grow with the number
+    of rounds.
 
     Returns the paths written (``paths``), the economy (``config``), the
     trades over all rounds (``n_trades``), and the per-round energy of the
@@ -534,6 +536,10 @@ def run_scenario(
                 fh = files.enter_context(open(path, "w", newline="\n"))
                 fh.write(",".join(header) + "\n")
             sinks.append((path, fh, build))
+        # The trades last formatted, and their lines. A round whose report
+        # holds that same tuple repeats its trades (see execute_round). The
+        # tuple is held, so `is` cannot match a freed tuple's recycled id.
+        last, body = None, []
         for _ in range(sc.rounds):
             state, report = execute_round(
                 config, state, offers=offers, record_detail="trades" in paths
@@ -543,7 +549,13 @@ def run_scenario(
                 observe(report, config)
             for path, fh, build in sinks:
                 with _writing(path):
-                    fh.writelines(build(pf, config, state, report))
+                    if build is not _trade_lines:
+                        fh.writelines(build(pf, config, state, report))
+                        continue
+                    if report.trades is not last:
+                        last, body = report.trades, build(pf, report.trades)
+                    r = report.round
+                    fh.write(f"{r}," + f"\n{r},".join(body) + "\n" if body else "")
         for path, fh, _ in sinks:
             with _writing(path):
                 fh.close()

@@ -7,6 +7,7 @@ time, so the faster code in ``camsim`` can be held to it.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +26,14 @@ from camsim import (
     optimal_price,
 )
 from camsim.market import SelfProduction
+from camsim.scenario import (
+    OUTPUTS,
+    PER_ROUND,
+    ScenarioConfig,
+    _price_format,
+    _trade_lines,
+    build_economy,
+)
 
 
 def validate(producer_of: dict[str, str], config: EconomyConfig) -> None:
@@ -144,6 +153,14 @@ def all_offers(config: EconomyConfig) -> list[Offer]:
             if sol.profit > 0:
                 offers.append(Offer(seller=pid, job=jid, price=sol.price))
     return offers
+
+
+def ranked_offers(config: EconomyConfig) -> list[Offer]:
+    """Every seller's offer, in the order buyers take them."""
+    return sorted(
+        all_offers(config),
+        key=lambda o: (o.job, o.price, config.cost(o.seller, o.job), o.seller),
+    )
 
 
 def cost_by_cell(config: EconomyConfig, pid: str, jid: str) -> float:
@@ -278,3 +295,32 @@ def execute_round_by_cell(
         autarky_energy=autarky_energy(config),
     )
     return state, report
+
+
+def run_scenario_by_cell(sc: ScenarioConfig, out_dir: Path) -> dict[str, Path]:
+    """run_scenario's CSVs from the slow references: every seller's offer,
+    the per-cell round, and each round's lines built afresh, the trades one
+    line at a time. Returns the path of each output written.
+    """
+    config = build_economy(sc)
+    state = MarketState.from_config(config, sc.initial_money)
+    offers = ranked_offers(config)
+    pf = _price_format(sc)
+    texts = {}
+    for kind in sc.outputs:
+        header, build = OUTPUTS[kind]
+        rows = [] if kind in PER_ROUND else build(sc, config)
+        texts[kind] = [",".join(header) + "\n", *rows]
+    for _ in range(sc.rounds):
+        state, report = execute_round_by_cell(config, state, offers)
+        for kind, lines in texts.items():
+            if kind == "trades":
+                lines += [f"{report.round},{t}\n" for t in _trade_lines(pf, report.trades)]
+            elif kind in PER_ROUND:
+                lines += OUTPUTS[kind][1](pf, config, state, report)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for kind, lines in texts.items():
+        paths[kind] = out_dir / f"{kind}.csv"
+        paths[kind].write_bytes("".join(lines).encode())
+    return paths

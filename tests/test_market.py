@@ -17,7 +17,7 @@ from camsim import (
     post_offers,
     run_market,
 )
-from tests.oracles import all_offers, execute_round_by_cell
+from tests.oracles import execute_round_by_cell, ranked_offers
 
 
 def zero_cost_config():
@@ -126,14 +126,6 @@ def economies(draw):
         demand={(p.player_id, j.job_id): draw(st.integers(0, 3)) for p in players for j in jobs},
         conversion=draw(st.floats(0.37, 3.0)),
         price_quantum=draw(st.floats(0.01, 1.0)),
-    )
-
-
-def ranked_offers(config):
-    """Every seller's offer, in the order buyers take them."""
-    return sorted(
-        all_offers(config),
-        key=lambda o: (o.job, o.price, config.cost(o.seller, o.job), o.seller),
     )
 
 
@@ -437,6 +429,22 @@ def test_conservation_check_negative_controls(golden):
     assert not conservation_check(
         dataclasses.replace(report, trades=tuple(corrupted)), golden
     )
+
+
+def test_conservation_check_checks_each_set_of_records_until_it_passes(golden):
+    """Records that passed under a config are not checked again, but a
+    corrupted copy of them is, though its sums still meet the totals, and
+    so are the same records under another config."""
+    _, [first, second] = run_market(golden, 2)
+    assert second.trades is first.trades
+    assert conservation_check(first, golden) and conservation_check(second, golden)
+    t = second.trades[0]
+    unimproved = dataclasses.replace(t, price=golden.conversion * t.buyer_self_cost)
+    corrupted = dataclasses.replace(second, trades=(unimproved, *second.trades[1:]))
+    assert not conservation_check(corrupted, golden)
+    assert not conservation_check(corrupted, golden)
+    assert conservation_check(second, golden)
+    assert not conservation_check(second, dataclasses.replace(golden, conversion=0.5))
 
 
 def test_conservation_check_empty_round():

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -9,15 +10,28 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from camsim import ConfigError, MarketState, load_config, market, run_scenario
+from camsim import (
+    ConfigError,
+    JobSpec,
+    MarketState,
+    Player,
+    load_config,
+    market,
+    run_scenario,
+)
 from camsim.cli import main
 from camsim.scenario import (
+    OUTPUT_KINDS,
     OUTPUTS,
+    ScenarioConfig,
+    WalkRun,
     artifact_digests,
     build_economy,
     export_csv,
     parse_mapping,
 )
+from camsim.walk import WalkParams
+from tests.oracles import run_scenario_by_cell
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = yaml.safe_load((DATA / "golden.yaml").read_text())
@@ -214,6 +228,103 @@ def test_run_scenario_matches_fixtures(tmp_path):
         assert Path(path).read_bytes() == expected, f"{name}.csv drifted"
 
 
+# P2 sells y to P1 and P3 at 9 each. With what it has after P1's purchase
+# it buys 3 units of x at 9, or else 1 unit of z at 9, so the rounds go A, B,
+# A, B: each returns to the trades of the round before last, and every round
+# has 5 trades and 1 buyer priced out.
+ALTERNATING = golden_with(
+    "jobs: [{job_id: x, workload: 10.0}, {job_id: y, workload: 10.0},"
+    " {job_id: z, workload: 10.0}]\n"
+    "players:\n"
+    "  - {player_id: P1, efficiencies: {x: 2.0, y: 1.0, z: 1.0}}\n"
+    "  - {player_id: P2, efficiencies: {x: 1.0, y: 2.0, z: 1.0}, money: 18}\n"
+    "  - {player_id: P3, efficiencies: {x: 1.0, y: 1.0, z: 2.0}}\n"
+    "demand: {P1: {x: 1, y: 1, z: 1}, P2: {x: 3, y: 1, z: 1}, P3: {x: 1, y: 1, z: 1}}\n"
+    "rounds: 4\n"
+    "outputs: [trades, wealth, savings, density, walk]\n"
+    "walk: {true_price: 1.0, eta: 0.5, sigma: 0.1, steps: 3, traces: 2}\n"
+)
+
+
+def assert_same_bytes(paths: dict[str, Path], expected: dict[str, Path]) -> None:
+    assert paths.keys() == expected.keys()
+    for kind, path in paths.items():
+        assert path.read_bytes() == expected[kind].read_bytes(), kind
+
+
+@st.composite
+def small_scenarios(draw) -> ScenarioConfig:
+    """Up to 4 players x 3 jobs with every output; players on small budgets
+    can be priced out part-way through the rounds."""
+    jobs = [
+        JobSpec(f"j{k}", draw(st.sampled_from([0.0, 1.0, 2.5, 10.0])))
+        for k in range(draw(st.integers(1, 3)))
+    ]
+    players = [
+        Player(
+            f"P{i}",
+            {j.job_id: draw(st.floats(0.25, 4.0)) for j in jobs},
+            draw(st.none() | st.floats(0.0, 60.0)),
+        )
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    return ScenarioConfig(
+        jobs=jobs,
+        conversion=draw(st.floats(0.5, 2.0)),
+        price_quantum=draw(st.sampled_from([1.0, 0.5, 0.25, 0.01])),
+        rounds=draw(st.integers(1, 6)),
+        master_seed=draw(st.integers(0, 2**32)),
+        outputs=list(OUTPUT_KINDS),
+        players=players,
+        demand={
+            (p.player_id, j.job_id): draw(st.integers(0, 3)) for p in players for j in jobs
+        },
+        initial_money=draw(st.floats(1.0, 100.0)),
+        walk=WalkRun(WalkParams(1.0, 0.5, 0.1), steps=3, traces=2),
+    )
+
+
+@given(sc=small_scenarios())
+@example(sc=parse_mapping(ALTERNATING))
+@settings(max_examples=40, deadline=None)
+def test_run_scenario_matches_the_per_cell_oracle(sc):
+    """Posted offers, the array round and the reused trade lines, composed,
+    write the bytes of every offer, the per-cell round and fresh lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = run_scenario(sc, Path(tmp) / "run")["paths"]
+        assert_same_bytes(paths, run_scenario_by_cell(sc, Path(tmp) / "oracle"))
+
+
+def test_alternating_rounds_return_to_earlier_trades(tmp_path):
+    seen = []
+    run_scenario(parse_mapping(ALTERNATING), tmp_path, lambda r, c: seen.append(r))
+    a, b, a_again, b_again = (r.trades for r in seen)
+    assert a == a_again and a is not a_again
+    assert b == b_again and b is not b_again
+    assert a != b
+    assert {(r.n_trades, r.n_forced) for r in seen} == {(5, 1)}
+
+
+def test_rounds_that_decide_alike_report_one_trades_tuple(tmp_path):
+    """Where no budget binds, every round reports the first round's trades
+    tuple, so trades.csv formats their lines once."""
+    seen = []
+    sc = parse_mapping(golden_with("rounds: 20\n"))
+    run_scenario(sc, tmp_path, lambda r, c: seen.append(r))
+    assert not any(r.n_forced for r in seen)
+    assert seen[0].trades
+    assert len({id(r.trades) for r in seen}) == 1
+
+
+def test_runs_at_other_price_quanta_share_no_lines(tmp_path):
+    """Runs over one economy in one process, at other price formats, each
+    write the oracle's bytes."""
+    for n, quantum in enumerate((0.5, 0.25, 0.5)):
+        sc = parse_mapping({**ALTERNATING, "price_quantum": quantum})
+        paths = run_scenario(sc, tmp_path / f"run{n}")["paths"]
+        assert_same_bytes(paths, run_scenario_by_cell(sc, tmp_path / f"oracle{n}"))
+
+
 def test_run_scenario_byte_identical(tmp_path):
     sc = load_config(DATA / "golden.yaml")
     d1 = artifact_digests(run_scenario(sc, tmp_path / "a")["paths"])
@@ -305,6 +416,27 @@ def test_cli_check_exits_1_on_a_conservation_failure(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == "check failed: conservation violated in round 2\n"
     assert [r.round for r in seen] == [1, 2]
     assert all(r.trades for r in seen)
+
+
+def test_cli_check_fails_a_corrupted_record_after_rounds_that_passed(
+    tmp_path, capsys, monkeypatch
+):
+    """A later, distinct outcome with one corrupted record fails the check,
+    though earlier rounds passed and the record's sums meet the totals."""
+    config_path = tmp_path / "alternating.yaml"
+    config_path.write_text(yaml.safe_dump(ALTERNATING))
+
+    def corrupts_round_3(config, state, offers, record_detail):
+        state, report = market.execute_round(config, state, offers, record_detail)
+        if report.round == 3:
+            t = report.trades[0]
+            t = dataclasses.replace(t, price=config.conversion * t.buyer_self_cost)
+            report = dataclasses.replace(report, trades=(t, *report.trades[1:]))
+        return state, report
+
+    monkeypatch.setattr("camsim.scenario.execute_round", corrupts_round_3)
+    assert main([str(config_path), "-o", str(tmp_path / "out"), "--check"]) == 1
+    assert capsys.readouterr().err == "check failed: conservation violated in round 3\n"
 
 
 @pytest.mark.parametrize(
