@@ -82,13 +82,14 @@ class EconomyConfig:
     ``price_quantum`` is the smallest representable price step.
 
     Building a config checks it and tabulates it once: ``costs`` is a
-    read-only players x jobs array of ``workload / efficiency``, rows in
-    sorted player_id order and columns in sorted job_id order, and the ids,
-    each job's total demand and the autarky energy are stored beside it.
-    ``units`` is the same table of ``demand`` as floats; ``demand`` itself
-    keeps the exact integers; ``market.MarketState`` keeps its ledgers in
-    the same row order. ``round_bound`` is the most one round can move into
-    any ledger, in energy or money. Nothing on a config changes after it is
+    read-only players x jobs array of ``workload / efficiency`` (never
+    -0.0), rows in sorted player_id order and columns in sorted job_id
+    order; the ids, each job's total demand and the autarky energy are
+    stored beside it. ``units`` is the same table of ``demand`` as floats;
+    ``demand`` keeps the exact integers. ``starting_money`` is each
+    player's ``money`` in the row order ``market.MarketState`` keeps its
+    ledgers in. ``round_bound`` is the most one round can move into any
+    ledger, in energy or money. Nothing on a config changes after it is
     built: to change an economy, build a new one with ``dataclasses.replace``.
     """
 
@@ -103,41 +104,39 @@ class EconomyConfig:
             raise ValueError("conversion must be finite and > 0")
         if not _finite(self.price_quantum, positive=True):
             raise ValueError("price_quantum must be finite and > 0")
-        ids = [p.player_id for p in self.players]
-        if len(set(ids)) != len(ids):
-            raise ValueError("player_ids must be unique")
-        job_ids = [j.job_id for j in self.jobs]
-        if len(set(job_ids)) != len(job_ids):
-            raise ValueError("job_ids must be unique")
-        self._players = {p.player_id: p for p in self.players}
-        self._jobs = {j.job_id: j for j in self.jobs}
+        players = sorted(self.players, key=lambda p: p.player_id)
+        jobs = sorted(self.jobs, key=lambda j: j.job_id)
         # Row and column of each id in the cost table, in sorted id order.
-        self._row = {pid: r for r, pid in enumerate(sorted(ids))}
-        self._col = {jid: c for c, jid in enumerate(sorted(job_ids))}
+        self._row = {p.player_id: r for r, p in enumerate(players)}
+        self._col = {j.job_id: c for c, j in enumerate(jobs)}
+        if len(self._row) != len(players):
+            raise ValueError("player_ids must be unique")
+        if len(self._col) != len(jobs):
+            raise ValueError("job_ids must be unique")
         self._totals = dict.fromkeys(self._col, 0)
         for (pid, jid), units in self.demand.items():
-            if pid not in self._players:
+            if pid not in self._row:
                 raise ValueError(f"demand references unknown player {pid!r}")
-            if jid not in self._jobs:
+            if jid not in self._col:
                 raise ValueError(f"demand references unknown job {jid!r}")
             if units < 0 or units != int(units):
                 raise ValueError(f"demand for {(pid, jid)} must be a nonnegative integer")
             self._totals[jid] += units
         for p in self.players:
             who = f"player {p.player_id!r} has"
-            for jid in self._jobs:
+            for jid in self._col:
                 if jid not in p.efficiencies:
                     raise ValueError(f"{who} no efficiency for job {jid!r}")
             for jid in p.efficiencies:
-                if jid not in self._jobs:
+                if jid not in self._col:
                     raise ValueError(f"{who} an efficiency for unknown job {jid!r}")
+        self.starting_money = tuple(p.money for p in players)
         efficiencies = np.array(
-            [[self._players[p].efficiencies[j] for j in self._col] for p in self._row],
-            dtype=float,
-        ).reshape(len(self._row), len(self._col))
-        workloads = np.array([self._jobs[j].workload for j in self._col], dtype=float)
+            [[p.efficiencies[j] for j in self._col] for p in players], dtype=float
+        ).reshape(len(players), len(jobs))
+        workloads = np.array([j.workload for j in jobs], dtype=float)
         with np.errstate(over="ignore"):
-            self.costs = workloads / efficiencies
+            self.costs = workloads / efficiencies + 0.0  # a -0.0 workload costs 0.0
             highest = self.costs * max(self.conversion, 1.0)
         self.costs.flags.writeable = False
         bad = np.argwhere(~np.isfinite(highest))
@@ -168,12 +167,6 @@ class EconomyConfig:
             self.units[self._row[pid], self._col[jid]] = float(units)
         self.units.flags.writeable = False
         self._autarky = math.fsum((self.units * self.costs).ravel().tolist())
-
-    def player(self, player_id: str) -> Player:
-        return self._players[player_id]
-
-    def job(self, job_id: str) -> JobSpec:
-        return self._jobs[job_id]
 
     def player_ids(self) -> list[str]:
         return list(self._row)

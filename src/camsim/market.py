@@ -93,8 +93,8 @@ class MarketState:
     def from_config(
         cls, config: EconomyConfig, initial_money: float = DEFAULT_ENDOWMENT
     ) -> "MarketState":
-        starts = [config.player(pid).money for pid in config.player_ids()]
-        money = np.array([initial_money if m is None else m for m in starts], dtype=float)
+        starts = [initial_money if m is None else m for m in config.starting_money]
+        money = np.array(starts, dtype=float) + 0.0  # -0.0 starts as 0.0
         return cls(money, np.zeros_like(money), np.zeros_like(money))
 
 
@@ -126,20 +126,22 @@ def post_offers(config: EconomyConfig) -> list[Offer]:
     seller cost, seller id) are kept: a buyer takes the first offer from
     someone else, which is one of these two.
 
-    Per job, optimal_prices makes one pass over the density's atoms, then
-    one argmax per seller over the candidate prices above its break-even.
+    A solution depends only on the break-even's float value, so each job's
+    distinct break-evens, the density's atoms, are priced once, O(A²) per
+    job, and each seller takes its own atom's solution.
     """
     players = config.player_ids()
     offers: list[Offer] = []
     for c, jid in enumerate(config.job_ids()):
         costs = config.costs[:, c]
-        break_evens = (config.conversion * costs).tolist()
+        break_evens = config.conversion * costs
         density = build_price_density(break_evens)
-        sols = optimal_prices(break_evens, density, config.price_quantum)
+        sols = optimal_prices(density.prices, density, config.price_quantum)
+        at = np.searchsorted(density.prices, break_evens).tolist()
         ranked = [
-            (sol.price, cost, pid)
-            for pid, cost, sol in zip(players, costs.tolist(), sols)
-            if sol.profit > 0
+            (sols[a].price, cost, pid)
+            for pid, cost, a in zip(players, costs.tolist(), at)
+            if sols[a].profit > 0
         ]
         offers += [Offer(pid, jid, price) for price, _, pid in heapq.nsmallest(2, ranked)]
     return offers

@@ -8,10 +8,10 @@ sits one price quantum below some atom. The degenerate all-atoms-at-zero
 density makes every positive posting find zero buyers, which is what
 kills trade when job execution costs nothing.
 
-The candidates (each atom less one quantum) and their buyer counts depend
-only on the density, so ``optimal_prices`` tabulates them in one pass over
-the A atoms and then prices each seller with one argmax over the
-candidates above its break-even: O(A) per seller, O(N·A) per job.
+A density is two arrays from one ``np.unique``. ``optimal_prices`` tabulates
+the candidates (each atom less one quantum) and their buyers in one pass,
+then takes one argmax per break-even. Equal break-evens get equal
+solutions, so ``market.post_offers`` prices each job's A atoms once: O(A²).
 """
 
 from __future__ import annotations
@@ -22,22 +22,28 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceDensity:
-    """Sorted point masses at the population's break-even prices."""
+    """Point masses at the distinct break-evens: read-only copies of ``prices``
+    (float64, strictly increasing, >= 0) and ``masses`` (int64, >= 1)."""
 
-    atoms: tuple[tuple[float, int], ...]
+    prices: np.ndarray
+    masses: np.ndarray
 
     def __post_init__(self) -> None:
-        prev = -math.inf
-        for price, mass in self.atoms:
-            if price <= prev:
-                raise ValueError("atom prices must be strictly increasing")
-            if price < 0:
-                raise ValueError("atom prices must be >= 0")
-            if mass < 1:
-                raise ValueError("atom masses must be >= 1")
-            prev = price
+        prices = np.array(self.prices, dtype=float)
+        masses = np.array(self.masses, dtype=np.int64)
+        if prices.ndim != 1 or prices.shape != masses.shape:
+            raise ValueError("atom prices and masses must be 1-D and of one length")
+        if not (np.diff(prices) > 0).all():
+            raise ValueError("atom prices must be strictly increasing")
+        if not (prices >= 0).all():
+            raise ValueError("atom prices must be >= 0")
+        if not (masses >= 1).all():
+            raise ValueError("atom masses must be >= 1")
+        for name, a in (("prices", prices), ("masses", masses)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)
@@ -49,26 +55,24 @@ class PriceSolution:
     profit: float
 
 
-def build_price_density(costs: list[float]) -> PriceDensity:
+def build_price_density(costs: list[float] | np.ndarray) -> PriceDensity:
     """Group break-even prices into atoms, one per distinct price, with its count."""
-    for c in costs:
-        if c < 0 or not math.isfinite(c):
-            raise ValueError(f"costs must be finite and >= 0, got {c}")
-    counts: dict[float, int] = {}
-    for c in costs:
-        counts[c] = counts.get(c, 0) + 1
-    return PriceDensity(tuple(sorted(counts.items())))
+    costs = np.asarray(costs, dtype=float)
+    bad = costs[~(np.isfinite(costs) & (costs >= 0))]
+    if bad.size:
+        raise ValueError(f"costs must be finite and >= 0, got {bad[0]}")
+    return PriceDensity(*np.unique(costs, return_counts=True))
 
 
 def buyer_count(density: PriceDensity, posted: float) -> int:
     """Players whose self-cost strictly exceeds the posted price."""
     if posted < 0:
         raise ValueError(f"posted price must be >= 0, got {posted}")
-    return sum(mass for price, mass in density.atoms if price > posted)
+    return int(density.masses[density.prices > posted].sum())
 
 
 def optimal_prices(
-    break_evens: list[float], density: PriceDensity, quantum: float
+    break_evens: list[float] | np.ndarray, density: PriceDensity, quantum: float
 ) -> list[PriceSolution]:
     """Profit-maximizing posting over quantized prices, for each break-even.
 
@@ -80,20 +84,19 @@ def optimal_prices(
     """
     if not (quantum > 0 and math.isfinite(quantum)):
         raise ValueError(f"quantum must be finite and > 0, got {quantum}")
-    for b in break_evens:
-        if not b >= 0:
-            raise ValueError(f"break_even must be >= 0, got {b}")
-    atoms = np.array([price for price, _ in density.atoms], dtype=float)
-    masses = np.array([mass for _, mass in density.atoms], dtype=np.int64)
+    bs = np.asarray(break_evens, dtype=float)
+    if not (bs >= 0).all():
+        raise ValueError(f"break_even must be >= 0, got {bs[~(bs >= 0)][0]}")
+    atoms = density.prices
     # above[i]: the mass of atoms[i:], so the buyers at a price p are
     # above[searchsorted(atoms, p, side="right")].
-    above = np.append(np.cumsum(masses[::-1])[::-1], 0)
+    above = np.append(np.cumsum(density.masses[::-1])[::-1], 0)
     cands = atoms - quantum  # non-decreasing, as the atoms increase
     buyers = above[np.searchsorted(atoms, cands, side="right")]
-    firsts = np.searchsorted(cands, break_evens, side="right").tolist()
-    at_break_even = above[np.searchsorted(atoms, break_evens, side="right")].tolist()
+    firsts = np.searchsorted(cands, bs, side="right").tolist()
+    at_break_even = above[np.searchsorted(atoms, bs, side="right")].tolist()
     out = []
-    for b, k, n in zip(break_evens, firsts, at_break_even):
+    for b, k, n in zip(bs.tolist(), firsts, at_break_even):
         gains = (cands[k:] - b) * buyers[k:]
         i = int(gains.argmax()) if gains.size else -1  # first maximum
         if i >= 0 and gains[i] > 0:

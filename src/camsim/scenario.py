@@ -438,8 +438,8 @@ def _savings_lines(
 def _density_lines(sc: ScenarioConfig, config: EconomyConfig) -> list[str]:
     lines, pf = [], _price_format(sc)
     for c, jid in enumerate(config.job_ids()):
-        break_evens = (config.conversion * config.costs[:, c]).tolist()
-        atoms = build_price_density(break_evens).atoms
+        d = build_price_density(config.conversion * config.costs[:, c])
+        atoms = zip(d.prices.tolist(), d.masses.tolist())
         lines += [f"{jid},{price:{pf}},{mass}\n" for price, mass in atoms]
     return lines
 

@@ -72,20 +72,25 @@ def stationarity_check(producer_of: dict[str, str], config: EconomyConfig) -> bo
     return True
 
 
+def atoms(density: PriceDensity) -> list[tuple[float, int]]:
+    """The density's (price, mass) pairs, in price order."""
+    return list(zip(density.prices.tolist(), density.masses.tolist()))
+
+
 def p_max(density: PriceDensity) -> float:
     """Largest break-even in the population; 0 for an empty density."""
-    return density.atoms[-1][0] if density.atoms else 0.0
+    return atoms(density)[-1][0] if atoms(density) else 0.0
 
 
 def total_mass(density: PriceDensity) -> int:
     """Number of players represented by the density."""
-    return sum(mass for _, mass in density.atoms)
+    return sum(mass for _, mass in atoms(density))
 
 
 def buyer_counts(density: PriceDensity, posted: np.ndarray) -> np.ndarray:
     """Vectorized buyer_count over an array of posted prices."""
-    prices = np.array([p for p, _ in density.atoms])
-    masses = np.array([m for _, m in density.atoms], dtype=np.int64)
+    prices = np.array([p for p, _ in atoms(density)])
+    masses = np.array([m for _, m in atoms(density)], dtype=np.int64)
     above = np.concatenate([np.cumsum(masses[::-1])[::-1], [0]])
     idx = np.searchsorted(prices, posted, side="right")
     return above[idx]
@@ -102,7 +107,7 @@ def no_trade_witness(
     """
     if optimal_price(break_even, density, quantum).profit != 0:
         return False
-    for atom_price, _ in density.atoms:
+    for atom_price, _ in atoms(density):
         cand = atom_price - quantum
         if cand > break_even and buyer_count(density, cand) > 0:
             return False
@@ -122,7 +127,7 @@ def optimal_price_by_scan(
     if break_even < 0:
         raise ValueError(f"break_even must be >= 0, got {break_even}")
     best: PriceSolution | None = None
-    for atom_price, _ in density.atoms:
+    for atom_price, _ in atoms(density):
         cand = atom_price - quantum
         if cand <= break_even:
             continue
@@ -165,7 +170,9 @@ def ranked_offers(config: EconomyConfig) -> list[Offer]:
 
 def cost_by_cell(config: EconomyConfig, pid: str, jid: str) -> float:
     """Per-unit energy cost from its definition: workload / efficiency."""
-    return config.job(jid).workload / config.player(pid).efficiencies[jid]
+    [job] = [j for j in config.jobs if j.job_id == jid]
+    [player] = [p for p in config.players if p.player_id == pid]
+    return job.workload / player.efficiencies[jid]
 
 
 def total_demand_by_scan(config: EconomyConfig, jid: str) -> int:

@@ -30,7 +30,7 @@ from camsim import (
     stationary_stats,
 )
 from camsim.scenario import artifact_digests
-from tests.oracles import buyer_counts, p_max, stationarity_check, total_mass
+from tests.oracles import atoms, buyer_counts, p_max, stationarity_check, total_mass
 
 DATA = Path(__file__).parent / "data"
 
@@ -141,7 +141,7 @@ def test_criterion_5_buyer_count_identities():
         p1, p2 = sorted(rng.uniform(0, 80, size=2))
         assert buyer_count(density, p1) >= buyer_count(density, p2)
         posted = float(rng.uniform(0, 80))
-        below = sum(m for p, m in density.atoms if p <= posted)
+        below = sum(m for p, m in atoms(density) if p <= posted)
         assert buyer_count(density, posted) + below == n_costs
     print("PASS criterion 5: normalization, complementarity, monotonicity on 1000 densities")
 

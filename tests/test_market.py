@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from camsim import (
     Player,
     conservation_check,
     execute_round,
+    optimal_prices,
     post_offers,
     run_market,
 )
@@ -155,6 +157,53 @@ def three_hundred_players() -> EconomyConfig:
         conversion=1.1,
         price_quantum=0.01,
     )
+
+
+def test_post_offers_prices_each_distinct_break_even_once(monkeypatch):
+    """One optimal_prices call per job, on that job's distinct break-evens.
+
+    The 300 players' break-evens are all distinct. In a copy where each
+    player takes the efficiencies of one of the first three, a hundred
+    sellers share each of three atoms per job.
+    """
+    calls = []
+
+    def recording(break_evens, density, quantum):
+        calls.append(np.asarray(break_evens).tolist())
+        return optimal_prices(break_evens, density, quantum)
+
+    monkeypatch.setattr("camsim.market.optimal_prices", recording)
+    config = three_hundred_players()
+    repeated = dataclasses.replace(
+        config,
+        players=[
+            dataclasses.replace(p, efficiencies=config.players[i % 3].efficiencies)
+            for i, p in enumerate(config.players)
+        ],
+    )
+    for cfg in (config, repeated):
+        calls.clear()
+        post_offers(cfg)
+        expected = [
+            sorted(set((cfg.conversion * cfg.costs[:, c]).tolist()))
+            for c in range(len(cfg.jobs))
+        ]
+        assert calls == expected
+    assert [len(c) for c in calls] == [3, 3, 3]
+    ranked = ranked_offers(repeated)
+    expected = []
+    for jid in repeated.job_ids():
+        expected += [o for o in ranked if o.job == jid][:2]
+    assert post_offers(repeated) == expected
+
+
+def test_negative_zero_is_stored_as_zero():
+    """A config built in code follows the YAML rule: a -0.0 workload costs
+    0.0 and a -0.0 starting balance starts at 0.0, so neither prints as -0."""
+    players = [Player("P1", {"x": 1.0}, money=-0.0), Player("P2", {"x": 2.0})]
+    config = EconomyConfig(players=players, jobs=[JobSpec("x", -0.0)])
+    assert not np.signbit(config.costs).any()
+    assert not np.signbit(MarketState.from_config(config, -0.0).money).any()
 
 
 def test_post_offers_prices_without_per_candidate_rescans(monkeypatch):

@@ -13,6 +13,7 @@ from camsim import (
     optimal_prices,
 )
 from tests.oracles import (
+    atoms,
     buyer_counts,
     no_trade_witness,
     optimal_price_by_scan,
@@ -48,14 +49,14 @@ def scan_max_profit(break_even: float, density: PriceDensity, quantum: float) ->
 
 def test_build_density_examples():
     d = build_price_density([10, 10])
-    assert d.atoms == ((10, 2),)
+    assert atoms(d) == [(10, 2)]
     assert p_max(d) == 10
 
     d = build_price_density([7, 7, 7, 7])
-    assert d.atoms == ((7, 4),)
+    assert atoms(d) == [(7, 4)]
 
     d = build_price_density([0, 0, 0])
-    assert d.atoms == ((0, 3),)
+    assert atoms(d) == [(0, 3)]
 
 
 def test_build_density_rejects_negative():
@@ -63,30 +64,64 @@ def test_build_density_rejects_negative():
         build_price_density([-1.0])
 
 
+def test_density_arrays_are_read_only_copies():
+    prices, masses = np.array([1.0, 3.0]), np.array([2, 1])
+    d = PriceDensity(prices, masses)
+    for a in (d.prices, d.masses):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    prices[0], masses[0] = 5.0, 7
+    assert atoms(d) == [(1.0, 2), (3.0, 1)]
+    assert (d.prices.dtype, d.masses.dtype) == (np.float64, np.int64)
+    d = build_price_density([3.0, 1.0, 3.0])
+    with pytest.raises(ValueError):
+        d.prices[0] = 0.0
+    with pytest.raises(ValueError):
+        d.masses[0] = 0
+
+
+@pytest.mark.parametrize(
+    "prices, masses, message",
+    [
+        ([2.0, 2.0], [1, 1], "strictly increasing"),
+        ([2.0, 1.0], [1, 1], "strictly increasing"),
+        ([1.0, math.nan], [1, 1], "strictly increasing"),
+        ([-1.0], [1], ">= 0"),
+        ([math.nan], [1], ">= 0"),
+        ([1.0], [0], "masses must be >= 1"),
+        ([1.0, 2.0], [1], "one length"),
+        ([[1.0]], [[1]], "1-D"),
+    ],
+)
+def test_density_rejects_bad_atoms(prices, masses, message):
+    with pytest.raises(ValueError, match=message):
+        PriceDensity(prices, masses)
+
+
 def test_total_mass():
-    assert total_mass(PriceDensity(((10, 2),))) == 2
-    assert total_mass(PriceDensity(((5, 1), (10, 2)))) == 3
-    assert total_mass(PriceDensity(())) == 0
+    assert total_mass(PriceDensity([10.0], [2])) == 2
+    assert total_mass(PriceDensity([5.0, 10.0], [1, 2])) == 3
+    assert total_mass(PriceDensity([], [])) == 0
 
 
 def test_buyer_count_examples():
-    d = PriceDensity(((10, 2),))
+    d = PriceDensity([10.0], [2])
     assert buyer_count(d, 9) == 2
     assert buyer_count(d, 10) == 0  # strict at the boundary
-    delta = PriceDensity(((0, 5),))
+    delta = PriceDensity([0.0], [5])
     assert buyer_count(delta, 0.01) == 0
     assert buyer_count(delta, 100) == 0
 
 
 def test_buyer_counts_vectorized_matches_scalar():
-    d = PriceDensity(((2.0, 1), (5.0, 3), (9.0, 2)))
+    d = PriceDensity([2.0, 5.0, 9.0], [1, 3, 2])
     prices = np.array([0.0, 1.9, 2.0, 2.1, 5.0, 8.99, 9.0, 12.0])
     expected = [buyer_count(d, float(p)) for p in prices]
     assert buyer_counts(d, prices).tolist() == expected
 
 
 def test_profit_examples():
-    d = PriceDensity(((10, 2),))
+    d = PriceDensity([10.0], [2])
     assert profit(9, 5, d) == 8
     assert profit(5, 5, d) == 0
     assert profit(10, 5, d) == 0
@@ -94,17 +129,17 @@ def test_profit_examples():
 
 
 def test_optimal_price_examples():
-    d = PriceDensity(((10, 2),))
+    d = PriceDensity([10.0], [2])
     sol = optimal_price(5, d, 1)
     assert (sol.price, sol.buyers, sol.profit) == (9, 2, 8)
 
     # two atoms: posting 9 reaches 3 buyers for 12; posting 19 reaches 1 for 14
-    d2 = PriceDensity(((10, 2), (20, 1)))
+    d2 = PriceDensity([10.0, 20.0], [2, 1])
     sol = optimal_price(5, d2, 1)
     assert (sol.price, sol.buyers, sol.profit) == (19, 1, 14)
     assert sol.profit == scan_max_profit(5, d2, 1)
 
-    delta = PriceDensity(((0, 4),))
+    delta = PriceDensity([0.0], [4])
     sol = optimal_price(0, delta, 1)
     assert sol.profit == 0
     assert sol.price == 0
@@ -120,7 +155,7 @@ def bits(sol):
 
 def test_optimal_price_tie_breaks_low():
     # profit 4 at both candidates: (2-0)*2 and (4-0)*1; lower price wins
-    d = PriceDensity(((3.0, 1), (5.0, 1)))
+    d = PriceDensity([3.0, 5.0], [1, 1])
     sol = optimal_price(0.0, d, 1.0)
     assert sol.profit == 4.0 == scan_max_profit(0.0, d, 1.0)
     assert sol.price == 2.0
@@ -128,7 +163,7 @@ def test_optimal_price_tie_breaks_low():
 
 
 def test_optimal_price_break_even_above_every_candidate_posts_nothing():
-    d = PriceDensity(((3.0, 1), (5.0, 2)))
+    d = PriceDensity([3.0, 5.0], [1, 2])
     for break_even in (4.0, 4.5, 5.0, 7.0):
         sol = optimal_price(break_even, d, 1.0)
         assert bits(sol) == bits(optimal_price_by_scan(break_even, d, 1.0))
@@ -139,19 +174,19 @@ def test_optimal_price_break_even_above_every_candidate_posts_nothing():
 
 def test_optimal_price_rejects_bad_quantum():
     with pytest.raises(ValueError):
-        optimal_price(1.0, PriceDensity(()), 0.0)
+        optimal_price(1.0, PriceDensity([], []), 0.0)
 
 
 @pytest.mark.parametrize("break_even", [-1.0, math.nan])
 def test_optimal_prices_rejects_bad_break_even(break_even):
     with pytest.raises(ValueError):
-        optimal_prices([1.0, break_even], PriceDensity(((2.0, 1),)), 0.5)
+        optimal_prices([1.0, break_even], PriceDensity([2.0], [1]), 0.5)
 
 
 def test_no_trade_witness():
-    assert no_trade_witness(PriceDensity(((0, 5),)), 0, 1)
-    assert no_trade_witness(PriceDensity(((7, 3),)), 7, 1)
-    assert not no_trade_witness(PriceDensity(((10, 2),)), 5, 1)
+    assert no_trade_witness(PriceDensity([0.0], [5]), 0, 1)
+    assert no_trade_witness(PriceDensity([7.0], [3]), 7, 1)
+    assert not no_trade_witness(PriceDensity([10.0], [2]), 5, 1)
 
 
 @given(costs=grid_costs)
@@ -164,7 +199,7 @@ def test_normalization(costs):
 @settings(max_examples=200)
 def test_complementarity(costs, posted):
     d = build_price_density(costs)
-    at_or_below = sum(m for p, m in d.atoms if p <= posted)
+    at_or_below = sum(m for p, m in atoms(d) if p <= posted)
     assert buyer_count(d, posted) + at_or_below == len(costs)
 
 
@@ -208,7 +243,7 @@ quanta = st.one_of(st.floats(1e-3, 10), st.sampled_from([0.25, 0.5, 1.0]))
 def test_optimal_prices_match_the_scan_bit_for_bit(data):
     d = build_price_density(data.draw(atom_lists))
     quantum = data.draw(quanta)
-    on_atoms = [st.sampled_from([p for p, _ in d.atoms])] if d.atoms else []
+    on_atoms = [st.sampled_from([p for p, _ in atoms(d)])] if atoms(d) else []
     break_evens = data.draw(
         st.lists(st.one_of(st.just(0.0), st.floats(0, 1e21), *on_atoms), max_size=10)
     )

@@ -19,7 +19,7 @@ from camsim import (
     market,
     run_scenario,
 )
-from camsim.cli import main
+from camsim.cli import _no_trade_failures, main
 from camsim.scenario import (
     OUTPUT_KINDS,
     OUTPUTS,
@@ -437,6 +437,55 @@ def test_cli_check_fails_a_corrupted_record_after_rounds_that_passed(
     monkeypatch.setattr("camsim.scenario.execute_round", corrupts_round_3)
     assert main([str(config_path), "-o", str(tmp_path / "out"), "--check"]) == 1
     assert capsys.readouterr().err == "check failed: conservation violated in round 3\n"
+
+
+@pytest.mark.parametrize(
+    "economy",
+    [
+        "{}",
+        "population: {count: 200, efficiency_distribution: uniform,"
+        " params: {low: 0.5, high: 2.0}}",
+    ],
+    ids=["golden", "population-200"],
+)
+def test_cli_check_variants_post_no_offers(monkeypatch, economy):
+    """In both no-trade variants every job's density is one atom, so no
+    seller can post an offer, not only that no round trades."""
+    variants = []
+
+    def run_market(config, rounds, **kwargs):
+        variants.append(config)
+        return market.run_market(config, rounds, **kwargs)
+
+    monkeypatch.setattr("camsim.cli.run_market", run_market)
+    config = build_economy(parse_mapping(golden_with(economy)))
+    assert _no_trade_failures(config) == []
+    assert len(variants) == 2
+    for variant in variants:
+        assert market.post_offers(variant) == []
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda raw, zero: raw["jobs"][0].update(workload=zero),
+        lambda raw, zero: raw["players"][2].update(money=zero),
+    ],
+    ids=["workload", "money"],
+)
+def test_negative_zero_writes_the_bytes_of_zero(tmp_path, edit):
+    """-0.0 passes the >= 0 rules; it must not print as -0 in density.csv
+    (a zero workload) or wealth.csv (a zero starting balance)."""
+    digests = []
+    for zero in (-0.0, 0.0):
+        raw = copy.deepcopy(GOLDEN)
+        edit(raw, zero)
+        cfg, out = tmp_path / f"{zero}.yaml", tmp_path / f"out{zero}"
+        cfg.write_text(yaml.safe_dump(raw))
+        assert main([str(cfg), "-o", str(out), "--check"]) == 0
+        digests.append(artifact_digests({p.stem: p for p in out.glob("*.csv")}))
+    assert digests[0] == digests[1]
+    assert len(digests[0]) == 4
 
 
 @pytest.mark.parametrize(

@@ -3,20 +3,24 @@
 ``bench/spans.py`` wraps each (module, attribute) pair in ``PATCHES`` and
 silently skips one that no longer exists, so a rename under ``src/`` would
 read 0 for that layer's metric without any error. Its observers read the
-wrapped calls' arguments by name, and its trade-pair replay calls
-``execute_round`` by keyword.
+wrapped calls' arguments by name, its trade-pair replay calls
+``execute_round`` by keyword, and its layer metrics read config attributes
+and report fields of a whole checked run.
 """
 
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import pytest
 
+from camsim import cli
 from camsim.market import MarketState, execute_round
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+DATA = Path(__file__).parent / "data"
 
 
 def _load_spans():
@@ -66,3 +70,35 @@ def test_replay_call_binds_to_execute_round(golden):
     """The bench replays the rounds with this call to count trading pairs."""
     state = MarketState.from_config(golden)
     inspect.signature(execute_round).bind(golden, state, offers=[], record_detail=True)
+
+
+def test_layer_metrics_read_a_checked_run(tmp_path):
+    """Trace ``camsim golden.yaml --check`` as bench/child.py does and read
+    every layer metric: once with trade detail, and once with only
+    ``wealth`` and ``savings``, so that the trading pairs come from the
+    replay. A config attribute or report field the metrics read, gone from
+    ``src/``, fails here rather than only under ``--trace 1``."""
+    golden = DATA / "golden.yaml"
+    replay = tmp_path / "replay.yaml"
+    replay.write_text(
+        golden.read_text().replace(
+            "outputs: [trades, wealth, savings, density]", "outputs: [wealth, savings]"
+        )
+    )
+    runs = []
+    for config in (golden, replay):
+        tracer = SPANS_MODULE.Tracer()
+        tracer.install()
+        try:
+            entry = tracer.wrap("cli.main", cli.main)
+            out = tmp_path / config.stem
+            assert entry([str(config), "-o", str(out), "--check"]) == 0
+            runs.append(tracer.layer_metrics())
+        finally:
+            tracer.uninstall()
+    detail, replayed = runs
+    assert replayed.keys() == detail.keys()
+    assert all(math.isfinite(v) for v in [*detail.values(), *replayed.values()])
+    for name in ("pricing.offers_posted", "pricing.atoms", "market.trades"):
+        assert replayed[name] == detail[name]
+    assert detail["pricing.offer_win_ratio"] == replayed["pricing.offer_win_ratio"] > 0
