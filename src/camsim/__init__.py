@@ -36,6 +36,7 @@ from .pricing import (
     build_price_density,
     buyer_count,
     optimal_price,
+    optimal_price_arrays,
     optimal_prices,
 )
 from .scenario import ConfigError, ScenarioConfig, load_config, run_scenario

@@ -18,14 +18,13 @@ bit for bit; the loop is kept as the tests' oracle.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import EconomyConfig, autarky_energy
-from .pricing import build_price_density, optimal_prices
+from .pricing import build_price_density, optimal_price_arrays
 
 DEFAULT_ENDOWMENT = 1e9
 
@@ -127,8 +126,11 @@ def post_offers(config: EconomyConfig) -> list[Offer]:
     someone else, which is one of these two.
 
     A solution depends only on the break-even's float value, so each job's
-    distinct break-evens, the density's atoms, are priced once, O(A²) per
-    job, and each seller takes its own atom's solution.
+    distinct break-evens, the density's atoms, are priced once by one
+    ``optimal_price_arrays`` call, O(A²) per job, and each seller takes its
+    own atom's solution. One ``np.lexsort`` over the profitable sellers'
+    rows ranks them; the rows run in sorted-id order, so the row is the id
+    tie-break.
     """
     players = config.player_ids()
     offers: list[Offer] = []
@@ -136,14 +138,13 @@ def post_offers(config: EconomyConfig) -> list[Offer]:
         costs = config.costs[:, c]
         break_evens = config.conversion * costs
         density = build_price_density(break_evens)
-        sols = optimal_prices(density.prices, density, config.price_quantum)
-        at = np.searchsorted(density.prices, break_evens).tolist()
-        ranked = [
-            (sols[a].price, cost, pid)
-            for pid, cost, a in zip(players, costs.tolist(), at)
-            if sols[a].profit > 0
-        ]
-        offers += [Offer(pid, jid, price) for price, _, pid in heapq.nsmallest(2, ranked)]
+        price, _, profit = optimal_price_arrays(
+            density.prices, density, config.price_quantum
+        )
+        at = np.searchsorted(density.prices, break_evens)
+        rows = np.flatnonzero(profit[at] > 0)
+        first = rows[np.lexsort((rows, costs[rows], price[at[rows]]))[:2]]
+        offers += [Offer(players[r], jid, float(price[at[r]])) for r in first.tolist()]
     return offers
 
 

@@ -8,10 +8,13 @@ sits one price quantum below some atom. The degenerate all-atoms-at-zero
 density makes every positive posting find zero buyers, which is what
 kills trade when job execution costs nothing.
 
-A density is two arrays from one ``np.unique``. ``optimal_prices`` tabulates
-the candidates (each atom less one quantum) and their buyers in one pass,
-then takes one argmax per break-even. Equal break-evens get equal
-solutions, so ``market.post_offers`` prices each job's A atoms once: O(A²).
+A density is two arrays from one ``np.unique``. ``optimal_price_arrays``
+tabulates the candidates (each atom less one quantum) and their buyers, then
+takes every break-even's first maximum gain in one array pass over a table
+of break-evens by candidates, built in row blocks of a fixed number of cells
+so its memory stays O(A). ``optimal_prices`` wraps its three arrays as
+solutions. Equal break-evens get equal solutions, so ``market.post_offers``
+prices each job's A atoms once, O(A²) time, with no Python per atom.
 """
 
 from __future__ import annotations
@@ -71,16 +74,24 @@ def buyer_count(density: PriceDensity, posted: float) -> int:
     return int(density.masses[density.prices > posted].sum())
 
 
-def optimal_prices(
-    break_evens: list[float] | np.ndarray, density: PriceDensity, quantum: float
-) -> list[PriceSolution]:
-    """Profit-maximizing posting over quantized prices, for each break-even.
+# The most cells of the gains table one block of rows holds, so that pricing
+# A atoms takes O(A) memory beyond a fixed block, never the whole A x A table.
+_BLOCK_CELLS = 2**17
 
-    Because buying requires a strict improvement and the density is atomic,
-    the profit maximum over the quantized grid is always attained one
-    quantum below some atom (or nowhere). Ties go to the lowest price;
-    when no posting earns a positive profit, the break-even itself is
-    returned with profit 0.
+
+def optimal_price_arrays(
+    break_evens: list[float] | np.ndarray, density: PriceDensity, quantum: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``optimal_prices`` as three arrays: the price, buyers and profit of each.
+
+    Row i of the gains table is ``(cands - b_i) * buyers`` over the
+    candidates, each atom less one quantum. The table is built in blocks of
+    at most ``max(1, _BLOCK_CELLS // A)`` rows, each block's columns starting
+    at the first candidate above the block's lowest break-even. A cell at or
+    below its row's break-even is clamped to 0 before the multiply, so it
+    stays finite (an infinite break-even would make -inf times 0 buyers, NaN)
+    and no positive maximum can pick it: each row's first maximum, when it
+    is > 0, is the first maximum over the candidates above its break-even.
     """
     if not (quantum > 0 and math.isfinite(quantum)):
         raise ValueError(f"quantum must be finite and > 0, got {quantum}")
@@ -93,18 +104,41 @@ def optimal_prices(
     above = np.append(np.cumsum(density.masses[::-1])[::-1], 0)
     cands = atoms - quantum  # non-decreasing, as the atoms increase
     buyers = above[np.searchsorted(atoms, cands, side="right")]
-    firsts = np.searchsorted(cands, bs, side="right").tolist()
-    at_break_even = above[np.searchsorted(atoms, bs, side="right")].tolist()
-    out = []
-    for b, k, n in zip(bs.tolist(), firsts, at_break_even):
-        gains = (cands[k:] - b) * buyers[k:]
-        i = int(gains.argmax()) if gains.size else -1  # first maximum
-        if i >= 0 and gains[i] > 0:
-            j = k + i
-            out.append(PriceSolution(float(cands[j]), int(buyers[j]), float(gains[i])))
-        else:
-            out.append(PriceSolution(b, n, 0.0))
-    return out
+    firsts = np.searchsorted(cands, bs, side="right")
+    # Where no posting earns a positive profit: the break-even, its buyers, 0.
+    price = bs.copy()
+    count = above[np.searchsorted(atoms, bs, side="right")]
+    profit = np.zeros(bs.size)
+    rows = max(1, _BLOCK_CELLS // max(atoms.size, 1))
+    for start in range(0, bs.size, rows):
+        block = slice(start, start + rows)
+        lo = firsts[block].min()
+        if lo == atoms.size:
+            continue  # no candidate above any break-even in the block
+        gains = cands[lo:] - bs[block, None]
+        np.maximum(gains, 0.0, out=gains)
+        gains *= buyers[lo:]
+        j = gains.argmax(axis=1)  # each row's first maximum
+        best = gains[np.arange(j.size), j]
+        win = np.flatnonzero(best > 0)
+        at, j = start + win, lo + j[win]
+        price[at], count[at], profit[at] = cands[j], buyers[j], best[win]
+    return price, count, profit
+
+
+def optimal_prices(
+    break_evens: list[float] | np.ndarray, density: PriceDensity, quantum: float
+) -> list[PriceSolution]:
+    """Profit-maximizing posting over quantized prices, for each break-even.
+
+    Because buying requires a strict improvement and the density is atomic,
+    the profit maximum over the quantized grid is always attained one
+    quantum below some atom (or nowhere). Ties go to the lowest price;
+    when no posting earns a positive profit, the break-even itself is
+    returned with profit 0. The solutions are ``optimal_price_arrays``'s.
+    """
+    arrays = optimal_price_arrays(break_evens, density, quantum)
+    return [PriceSolution(*sol) for sol in zip(*(a.tolist() for a in arrays))]
 
 
 def optimal_price(

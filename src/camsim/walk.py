@@ -39,6 +39,8 @@ class WalkParams:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.true_price < 0 or not math.isfinite(self.true_price):
             raise ValueError(f"true_price must be finite and >= 0, got {self.true_price}")
+        # A -0.0 true price walks from 0.0, so walk.csv never prints -0.
+        object.__setattr__(self, "true_price", self.true_price + 0.0)
 
 
 @dataclass(frozen=True)

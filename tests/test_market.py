@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from camsim import (
     Player,
     conservation_check,
     execute_round,
-    optimal_prices,
+    optimal_price_arrays,
     post_offers,
     run_market,
 )
@@ -160,7 +164,7 @@ def three_hundred_players() -> EconomyConfig:
 
 
 def test_post_offers_prices_each_distinct_break_even_once(monkeypatch):
-    """One optimal_prices call per job, on that job's distinct break-evens.
+    """One optimal_price_arrays call per job, on that job's distinct break-evens.
 
     The 300 players' break-evens are all distinct. In a copy where each
     player takes the efficiencies of one of the first three, a hundred
@@ -170,9 +174,9 @@ def test_post_offers_prices_each_distinct_break_even_once(monkeypatch):
 
     def recording(break_evens, density, quantum):
         calls.append(np.asarray(break_evens).tolist())
-        return optimal_prices(break_evens, density, quantum)
+        return optimal_price_arrays(break_evens, density, quantum)
 
-    monkeypatch.setattr("camsim.market.optimal_prices", recording)
+    monkeypatch.setattr("camsim.market.optimal_price_arrays", recording)
     config = three_hundred_players()
     repeated = dataclasses.replace(
         config,
@@ -196,6 +200,30 @@ def test_post_offers_prices_each_distinct_break_even_once(monkeypatch):
         expected += [o for o in ranked if o.job == jid][:2]
     assert post_offers(repeated) == expected
 
+
+
+def test_post_offers_imports_nothing():
+    """After ``import camsim.cli``, posting golden.yaml's offers adds no module
+    to sys.modules, so pricing adds nothing to a run's imports or memory."""
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "import camsim.cli\n"
+        "from camsim.scenario import build_economy, load_config, post_offers\n"
+        f"config = build_economy(load_config({str(root / 'tests/data/golden.yaml')!r}))\n"
+        "before = set(sys.modules)\n"
+        "assert post_offers(config)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=os.environ | {"PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 def test_negative_zero_is_stored_as_zero():
     """A config built in code follows the YAML rule: a -0.0 workload costs

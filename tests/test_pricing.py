@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ from camsim import (
     build_price_density,
     buyer_count,
     optimal_price,
+    optimal_price_arrays,
     optimal_prices,
+    pricing,
 )
 from tests.oracles import (
     atoms,
@@ -172,6 +177,16 @@ def test_optimal_price_break_even_above_every_candidate_posts_nothing():
     assert optimal_price(5.0, d, 1.0).buyers == 0
 
 
+def test_extreme_break_evens_beside_a_low_one_post_nothing():
+    """In one block with a low break-even, the cells of the highest float and
+    of infinity are computed too, against a candidate without buyers (1e17
+    less 1.0 rounds back to 1e17); they must not overflow or turn NaN."""
+    d = PriceDensity([3.0, 1e17], [1, 2])
+    break_evens = [0.0, sys.float_info.max, math.inf]
+    expected = [bits(optimal_price_by_scan(b, d, 1.0)) for b in break_evens]
+    assert [bits(s) for s in optimal_prices(break_evens, d, 1.0)] == expected
+
+
 def test_optimal_price_rejects_bad_quantum():
     with pytest.raises(ValueError):
         optimal_price(1.0, PriceDensity([], []), 0.0)
@@ -250,3 +265,76 @@ def test_optimal_prices_match_the_scan_bit_for_bit(data):
     expected = [bits(optimal_price_by_scan(b, d, quantum)) for b in break_evens]
     assert [bits(s) for s in optimal_prices(break_evens, d, quantum)] == expected
     assert [bits(optimal_price(b, d, quantum)) for b in break_evens] == expected
+
+
+# Cell budgets for the gains table's blocks: with up to 20 atoms, 1 cell
+# makes one-row blocks, and 40 cells blocks of 2 to 40 rows.
+small_blocks = [1, 40]
+
+
+@pytest.mark.parametrize("cells", small_blocks)
+def test_optimal_prices_match_the_scan_across_blocks(monkeypatch, cells):
+    monkeypatch.setattr(pricing, "_BLOCK_CELLS", cells)
+    test_optimal_prices_match_the_scan_bit_for_bit()
+
+
+def assert_scan_bits(break_evens, d, quantum, cells):
+    """optimal_prices, in blocks of at most ``cells`` cells, is the scan's."""
+    expected = [bits(optimal_price_by_scan(b, d, quantum)) for b in break_evens]
+    with mock.patch.object(pricing, "_BLOCK_CELLS", cells):
+        assert [bits(s) for s in optimal_prices(break_evens, d, quantum)] == expected
+
+
+block_cells = st.sampled_from([*small_blocks, pricing._BLOCK_CELLS])
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_unsorted_repeated_break_evens_match_the_scan(data):
+    """Each block starts at its lowest break-even's first candidate, wherever
+    in the block that break-even is."""
+    d = build_price_density(data.draw(atom_lists))
+    on_atoms = [st.sampled_from(d.prices.tolist())] if d.prices.size else []
+    pool = data.draw(
+        st.lists(st.one_of(st.floats(0, 1e21), *on_atoms), min_size=1, max_size=4)
+    )
+    break_evens = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    assert_scan_bits(break_evens, d, data.draw(quanta), data.draw(block_cells))
+
+
+def nudge(x: float, steps: int) -> float:
+    """x moved ``steps`` adjacent floats up, or down when steps < 0."""
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, steps)))
+    return x
+
+
+# Half-grid values, where gains tie exactly, moved a few floats apart, so
+# that gains tie or differ only in their last bits.
+near_grid = st.builds(
+    lambda k, steps: max(0.0, nudge(k * 0.5, steps)),
+    st.integers(0, 8),
+    st.integers(-3, 3),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_near_tied_gains_match_the_scan(data):
+    d = build_price_density(data.draw(st.lists(near_grid, max_size=20)))
+    quantum = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
+    break_evens = data.draw(st.lists(near_grid, max_size=10))
+    assert_scan_bits(break_evens, d, quantum, data.draw(block_cells))
+
+
+def test_pricing_3000_atoms_never_holds_the_whole_table():
+    """A 3,000 x 3,000 table of float64 gains would take 72 MB."""
+    d = build_price_density(np.linspace(1.0, 100.0, 3000))
+    tracemalloc.start()
+    try:
+        price, _, profit = optimal_price_arrays(d.prices, d, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert (profit > 0).any() and price.shape == (3000,)

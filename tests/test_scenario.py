@@ -488,6 +488,19 @@ def test_negative_zero_writes_the_bytes_of_zero(tmp_path, edit):
     assert len(digests[0]) == 4
 
 
+def test_a_walk_from_negative_zero_writes_the_bytes_of_zero(tmp_path):
+    """-0.0 passes the true_price >= 0 rule; without noise its walk stays at
+    zero and must not print as -0 in walk.csv."""
+    raw = copy.deepcopy(GOLDEN)
+    walk = {"true_price": -0.0, "eta": 0.5, "sigma": 0.0, "steps": 3}
+    raw.update(outputs=["walk"], walk=walk)
+    cfg = tmp_path / "walk.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    assert main([str(cfg), "-o", str(tmp_path / "out"), "--check"]) == 0
+    zeros = "".join(f"0,{step},0.000000000\n" for step in range(3))
+    assert (tmp_path / "out" / "walk.csv").read_text() == "trace,step,value\n" + zeros
+
+
 @pytest.mark.parametrize(
     "traded, message",
     [
