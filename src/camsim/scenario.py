@@ -9,10 +9,13 @@ numpy SeedSequence spawn keys: ``(0,)`` for population generation and
 Identical config bytes therefore give byte-identical output files.
 
 A run is one streaming pass. The per-round outputs (trades, wealth,
-savings) are opened once, and each round's CSV lines are written as the
-round ends, then dropped; the round ledgers are updated in place. A round
-that repeats the last round's trades reuses their formatted lines. Only the
-outputs that do not depend on the rounds (density, walk) are built whole.
+savings) are opened once. Each round's trades and savings lines are written
+as the round ends, then dropped, and its ledgers, updated in place, are
+copied into a block of wealth rows that is written when it fills. A round
+that repeats the last round's trades reuses their formatted lines. walk.csv
+is simulated and written in blocks of steps; only density.csv is built
+whole. Wealth and walk cells are printed in arrays by an exact fixed-point
+kernel (``_fixed_cells``) that gives the bytes of ``f"{v:.9f}"``.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from __future__ import annotations
 import decimal
 import hashlib
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 import numpy as np
 import yaml
@@ -381,17 +384,22 @@ def build_economy(sc: ScenarioConfig) -> EconomyConfig:
     )
 
 
-def export_csv(rows: list[str], header: Sequence[str], path: str | Path) -> Path:
-    """Write the header, then ``rows``: finished CSV lines, each ending in ``"\\n"``.
+def export_csv(rows: Iterable[str], header: Sequence[str], path: str | Path) -> Path:
+    """Write the header, then ``rows``: finished CSV text, each piece ending in ``"\\n"``.
 
-    The file has LF endings. The builders format every cell, without the
-    locale, so that each output type keeps its own column precision.
+    The file is UTF-8 with LF endings, whatever the locale. The builders
+    format every cell, without the locale, so that each output type keeps
+    its own column precision.
     """
     path = Path(path)
-    with _writing(path), open(path, "w", newline="\n") as fh:
+    with _writing(path), _open(path) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(rows)
     return path
+
+
+def _open(path: Path) -> TextIO:
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 @contextmanager
@@ -401,6 +409,114 @@ def _writing(path: Path) -> Iterator[None]:
         yield
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class _Pieces:
+    """CSV text made piece by piece as it is written; len() counts the pieces."""
+
+    count: int
+    pieces: Iterator[str]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[str]:
+        return self.pieces
+
+
+# Cells formatted in arrays. _PAD fills the bytes a shorter cell leaves
+# unused; it never occurs in UTF-8, so one boolean compaction drops it from
+# finished lines. _DIGITS[c] is the four ASCII digits of 0 <= c < 10**4, as
+# one 4-byte word.
+_PAD = 0xFF
+_DIGITS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+_DIGITS = _DIGITS.reshape(10**4, 4).view(np.uint32).ravel()
+_POW10 = 10 ** np.arange(16, dtype=np.int64)  # every integer below 2**52 has <= 16 digits
+# The wealth.csv and walk.csv rows formatted as one block.
+_BLOCK_ROWS = 2048
+
+
+def _halves(a: np.ndarray | float) -> tuple[Any, Any]:
+    """Dekker's split: a == high + low, each with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _fixed_cells(values: np.ndarray, d: int) -> np.ndarray | None:
+    """The UTF-8 bytes of ``f"{v:.{d}f}"`` for every cell v of ``values``.
+
+    Returns uint8 cells of shape ``values.shape + (width,)``: each cell's
+    characters in order, with ``_PAD`` bytes where it is shorter than the
+    widest. None when some cell is out of the exact range: not finite, or
+    ``|v|·10**d >= 2**52``.
+
+    ``p = |v|·10**d`` is the exact product P rounded once. Below 2**52 every
+    half-integer is a float, and rounding to nearest never steps over a
+    float, so ``rint(p)`` is P rounded half to even unless p is itself a
+    half-integer. There P may lie either side of p, and the sign of the
+    rounding error P - p, exact by Dekker's TwoProduct (Numer. Math. 18,
+    1971), decides; a zero error is a true tie, which Python also rounds to
+    even. The integer digits are counted by exact comparisons with powers
+    of ten, and the sign is the sign bit, so ``-0.0`` prints ``-0``.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if d > 22:  # 10**d is a float exactly up to 10**22
+        return None
+    scale = float(10**d)
+    with np.errstate(over="ignore"):
+        p = np.abs(v) * scale
+    if not (p < 2.0**52).all():
+        return None
+    r = np.rint(p)
+    tie = np.flatnonzero(np.abs(p - r) == 0.5)
+    if tie.size:
+        x = p.flat[tie]
+        (ah, al), (sh, sl) = _halves(np.abs(v).flat[tie]), _halves(scale)
+        error = al * sl - (((x - ah * sh) - al * sh) - ah * sl)
+        r.flat[tie] = np.where(error == 0, r.flat[tie], np.floor(x) + (error > 0))
+    q, n = r.astype(np.int64).ravel(), r.size
+    whole = np.maximum(np.searchsorted(_POW10, q, side="right") - d, 1)
+    m = int(whole.max(initial=1))
+    words = np.empty((n, -(-(m + d) // 4)), np.uint32)
+    for j in reversed(range(words.shape[1])):
+        high = q // 10**4
+        words[:, j] = _DIGITS[q - high * 10**4]
+        q = high
+    digits = words.view(np.uint8)[:, -(m + d) :]
+    cells = np.empty((n, 1 + m + (d > 0) + d), np.uint8)
+    cells[:, 0] = np.where(np.signbit(v).ravel(), ord("-"), _PAD)
+    cells[:, 1 : m + 1] = digits[:, :m]
+    for j in range(m - int(whole.min(initial=m))):  # leading zeros
+        cells[whole < m - j, 1 + j] = _PAD
+    if d:
+        cells[:, m + 1] = ord(".")
+        cells[:, m + 2 :] = digits[:, m:]
+    return cells.reshape(*v.shape, cells.shape[1])
+
+
+def _text_cells(texts: Sequence[str]) -> np.ndarray:
+    """The UTF-8 bytes of each text, one row each, padded with ``_PAD``."""
+    raw = [t.encode() for t in texts]
+    width = max(map(len, raw), default=0)
+    joined = b"".join(b.ljust(width, bytes([_PAD])) for b in raw)
+    return np.frombuffer(joined, np.uint8).reshape(len(raw), width)
+
+
+def _csv_text(shape: tuple[int, ...], *fields: np.ndarray) -> str:
+    """One CSV line per index of ``shape``, in row-major order: each field's
+    cells broadcast to ``shape + (their width,)``."""
+    widths = [f.shape[-1] for f in fields]
+    lines = np.empty((*shape, sum(widths) + len(fields)), np.uint8)
+    at = 0
+    for f, w in zip(fields, widths):
+        lines[..., at : at + w] = f
+        lines[..., at + w] = ord(",")
+        at += w + 1
+    lines[..., -1] = ord("\n")
+    flat = lines.ravel()
+    return str(flat[flat != _PAD], "utf-8")
 
 
 def _price_format(sc: ScenarioConfig) -> str:
@@ -417,14 +533,22 @@ def _trade_lines(pf: str, trades: tuple[TradeRecord, ...]) -> list[str]:
     ]
 
 
-def _wealth_lines(
-    pf: str, config: EconomyConfig, state: MarketState, report: RoundReport
-) -> list[str]:
-    ledgers = (a.tolist() for a in (state.money, state.energy_spent, state.energy_saved))
-    return [
-        f"{state.round},{pid},{money:{pf}},{spent:.9f},{saved:.9f}\n"
-        for pid, money, spent, saved in zip(config.player_ids(), *ledgers)
-    ]
+def _wealth_text(pf: str, ids: np.ndarray, first: int, ledgers: np.ndarray) -> str:
+    """The wealth.csv lines of rounds ``first``, ``first + 1``, ...:
+    ``ledgers[k]`` holds the money, energy_spent and energy_saved rows of
+    round ``first + k``, and ``ids`` the player ids' ``_text_cells``."""
+    rounds, _, n = ledgers.shape
+    money = _fixed_cells(ledgers[:, 0], int(pf[1:-1]))
+    energy = _fixed_cells(ledgers[:, 1:], 9)
+    if money is None or energy is None:
+        names = [bytes(row[row != _PAD]).decode() for row in ids]
+        return "".join(
+            f"{first + k},{pid},{cash:{pf}},{spent:.9f},{saved:.9f}\n"
+            for k, rows in enumerate(ledgers.tolist())
+            for pid, cash, spent, saved in zip(names, *rows)
+        )
+    number = _fixed_cells(np.arange(first, first + rounds, dtype=np.float64), 0)
+    return _csv_text((rounds, n), number[:, None], ids, money, energy[:, 0], energy[:, 1])
 
 
 def _savings_lines(
@@ -444,22 +568,44 @@ def _density_lines(sc: ScenarioConfig, config: EconomyConfig) -> list[str]:
     return lines
 
 
-def _walk_lines(sc: ScenarioConfig, config: EconomyConfig) -> list[str]:
-    lines = []
-    for i in range(sc.walk.traces):
-        seed = derive_trace_seed(sc.master_seed, i)
-        values = simulate_walk(sc.walk.params, sc.walk.steps, seed).values.tolist()
-        lines += [f"{i},{step},{v:.9f}\n" for step, v in enumerate(values)]
-    return lines
+def _walk_text(trace: int, first: int, values: np.ndarray) -> str:
+    """The walk.csv lines of one trace's steps ``first``, ``first + 1``, ..."""
+    cells = _fixed_cells(values, 9)
+    if cells is None:
+        return "".join(f"{trace},{first + s},{v:.9f}\n" for s, v in enumerate(values.tolist()))
+    steps = np.arange(first, first + len(values), dtype=np.float64)
+    number = _fixed_cells(np.array([trace], dtype=np.float64), 0)
+    return _csv_text((len(values),), number, _fixed_cells(steps, 0), cells)
 
 
-# Each output kind's CSV header and line builder; a selected kind is written
-# to <kind>.csv. A builder gives finished CSV lines, energies at 9 decimals
-# and prices at the price quantum's decimals. The trades builder takes the
-# run's price format and one round's trade records, and gives their lines
-# without the round and the newline. The other PER_ROUND builders take the
-# price format and one round's (config, state, report) and give that round's
-# lines; the rest take (sc, config) and give the whole file.
+def _walk_lines(sc: ScenarioConfig, config: EconomyConfig) -> _Pieces:
+    """walk.csv in blocks of ``_BLOCK_ROWS`` steps, each simulated as it is
+    written: a trace's blocks draw from one generator, and each starts from
+    the last value of the one before, so they are the trace drawn whole."""
+    walk = sc.walk
+
+    def blocks() -> Iterator[str]:
+        for i in range(walk.traces):
+            seed = np.random.SeedSequence(derive_trace_seed(sc.master_seed, i))
+            rng, last = np.random.default_rng(seed), None
+            for first in range(0, walk.steps, _BLOCK_ROWS):
+                steps = min(_BLOCK_ROWS, walk.steps - first)
+                values = simulate_walk(walk.params, steps, rng, start=last).values
+                last = float(values[-1])
+                yield _walk_text(i, first, values)
+
+    return _Pieces(walk.traces * -(-walk.steps // _BLOCK_ROWS), blocks())
+
+
+# Each output kind's CSV header and builder; a selected kind is written to
+# <kind>.csv. A builder gives finished CSV text, energies at 9 decimals and
+# prices at the price quantum's decimals, without the locale. The trades
+# builder takes the run's price format and one round's trade records, and
+# gives their lines without the round and the newline. The wealth builder
+# takes the price format, the player ids and a block of rounds' ledgers
+# (see _wealth_text), and gives their text. The savings builder takes the
+# price format and one round's (config, state, report) and gives its line.
+# The rest take (sc, config) and give the whole file.
 OUTPUTS = {
     "trades": (
         (
@@ -477,7 +623,7 @@ OUTPUTS = {
     ),
     "wealth": (
         ("round", "player", "money", "energy_spent", "energy_saved"),
-        _wealth_lines,
+        _wealth_text,
     ),
     "savings": (
         ("round", "autarky_energy", "energy_expended", "energy_saved", "saved_fraction"),
@@ -498,10 +644,12 @@ def run_scenario(
     """Execute a scenario end to end and write every selected output.
 
     The rounds stream: after each round its lines are appended to the
-    per-round CSVs, and ``observe(report, config)``, when given, sees its
-    report. No round's state or report outlives the round, and only the
-    last distinct trades' lines do, so memory does not grow with the number
-    of rounds.
+    trades and savings CSVs, and ``observe(report, config)``, when given,
+    sees its report. Each round's ledgers are copied into a block of at
+    most ``_BLOCK_ROWS`` wealth rows, whose text is written when the block
+    is full and after the last round. No round's state or report outlives
+    the round, and only the last distinct trades' lines do, so memory does
+    not grow with the number of rounds.
 
     Returns the paths written (``paths``), the economy (``config``), the
     trades over all rounds (``n_trades``), and the per-round energy of the
@@ -525,6 +673,8 @@ def run_scenario(
     offers = post_offers(config)
     pf = _price_format(sc)
     n_trades = 0
+    ids = _text_cells(config.player_ids())
+    block = np.empty((min(sc.rounds, max(1, _BLOCK_ROWS // len(ids))), 3, len(ids)))
     with ExitStack() as files:
         sinks = []
         for kind, path in paths.items():
@@ -533,14 +683,14 @@ def run_scenario(
                 export_csv(build(sc, config), header, path)
                 continue
             with _writing(path):
-                fh = files.enter_context(open(path, "w", newline="\n"))
+                fh = files.enter_context(_open(path))
                 fh.write(",".join(header) + "\n")
             sinks.append((path, fh, build))
         # The trades last formatted, and their lines. A round whose report
         # holds that same tuple repeats its trades (see execute_round). The
         # tuple is held, so `is` cannot match a freed tuple's recycled id.
         last, body = None, []
-        for _ in range(sc.rounds):
+        for n in range(sc.rounds):
             state, report = execute_round(
                 config, state, offers=offers, record_detail="trades" in paths
             )
@@ -549,13 +699,18 @@ def run_scenario(
                 observe(report, config)
             for path, fh, build in sinks:
                 with _writing(path):
-                    if build is not _trade_lines:
+                    if build is _wealth_text:
+                        k = n % len(block) + 1
+                        block[k - 1] = state.money, state.energy_spent, state.energy_saved
+                        if k == len(block) or n + 1 == sc.rounds:
+                            fh.write(build(pf, ids, state.round - k + 1, block[:k]))
+                    elif build is _trade_lines:
+                        if report.trades is not last:
+                            last, body = report.trades, build(pf, report.trades)
+                        r = report.round
+                        fh.write(f"{r}," + f"\n{r},".join(body) + "\n" if body else "")
+                    else:
                         fh.writelines(build(pf, config, state, report))
-                        continue
-                    if report.trades is not last:
-                        last, body = report.trades, build(pf, report.trades)
-                    r = report.round
-                    fh.write(f"{r}," + f"\n{r},".join(body) + "\n" if body else "")
         for path, fh, _ in sinks:
             with _writing(path):
                 fh.close()

@@ -50,17 +50,24 @@ class WalkTrace:
 
 
 def simulate_walk(
-    params: WalkParams, steps: int, seed: int, start: float | None = None
+    params: WalkParams,
+    steps: int,
+    seed: int | np.random.Generator,
+    start: float | None = None,
 ) -> WalkTrace:
     """Generate a reproducible trace of ``steps`` values after ``start``.
 
     Steps the recursion one value at a time, clamping and counting each
-    negative estimate.
+    negative estimate. ``seed`` is a trace seed, or the generator of a trace
+    already begun: pieces drawn from one generator, each starting from the
+    last value of the piece before, are the trace drawn whole.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     current = params.true_price if start is None else start
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = seed
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
     noise = params.sigma * rng.standard_normal(steps)
     drive = params.eta * params.true_price + noise
     decay = 1.0 - params.eta

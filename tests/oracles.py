@@ -23,7 +23,9 @@ from camsim import (
     break_even_price,
     build_price_density,
     buyer_count,
+    derive_trace_seed,
     optimal_price,
+    simulate_walk,
 )
 from camsim.market import SelfProduction
 from camsim.scenario import (
@@ -307,7 +309,8 @@ def execute_round_by_cell(
 def run_scenario_by_cell(sc: ScenarioConfig, out_dir: Path) -> dict[str, Path]:
     """run_scenario's CSVs from the slow references: every seller's offer,
     the per-cell round, and each round's lines built afresh, the trades one
-    line at a time. Returns the path of each output written.
+    line at a time, and every wealth and walk cell by its own f-string.
+    Returns the path of each output written.
     """
     config = build_economy(sc)
     state = MarketState.from_config(config, sc.initial_money)
@@ -316,14 +319,19 @@ def run_scenario_by_cell(sc: ScenarioConfig, out_dir: Path) -> dict[str, Path]:
     texts = {}
     for kind in sc.outputs:
         header, build = OUTPUTS[kind]
-        rows = [] if kind in PER_ROUND else build(sc, config)
+        if kind == "walk":
+            rows = walk_lines(sc)
+        else:
+            rows = [] if kind in PER_ROUND else build(sc, config)
         texts[kind] = [",".join(header) + "\n", *rows]
     for _ in range(sc.rounds):
         state, report = execute_round_by_cell(config, state, offers)
         for kind, lines in texts.items():
             if kind == "trades":
                 lines += [f"{report.round},{t}\n" for t in _trade_lines(pf, report.trades)]
-            elif kind in PER_ROUND:
+            elif kind == "wealth":
+                lines += wealth_lines(pf, config, state)
+            elif kind == "savings":
                 lines += OUTPUTS[kind][1](pf, config, state, report)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -331,3 +339,22 @@ def run_scenario_by_cell(sc: ScenarioConfig, out_dir: Path) -> dict[str, Path]:
         paths[kind] = out_dir / f"{kind}.csv"
         paths[kind].write_bytes("".join(lines).encode())
     return paths
+
+
+def wealth_lines(pf: str, config: EconomyConfig, state: MarketState) -> list[str]:
+    """One round's wealth.csv lines, a cell at a time."""
+    ledgers = (a.tolist() for a in (state.money, state.energy_spent, state.energy_saved))
+    return [
+        f"{state.round},{pid},{money:{pf}},{spent:.9f},{saved:.9f}\n"
+        for pid, money, spent, saved in zip(config.player_ids(), *ledgers)
+    ]
+
+
+def walk_lines(sc: ScenarioConfig) -> list[str]:
+    """walk.csv's lines, each trace simulated whole and printed a cell at a time."""
+    lines = []
+    for i in range(sc.walk.traces):
+        seed = derive_trace_seed(sc.master_seed, i)
+        values = simulate_walk(sc.walk.params, sc.walk.steps, seed).values.tolist()
+        lines += [f"{i},{step},{v:.9f}\n" for step, v in enumerate(values)]
+    return lines

@@ -540,7 +540,7 @@ def test_cli_unwritable_output_directory_exits_2(tmp_path, capsys, below):
     assert err.count("\n") == 1 and str(blocker) in err
 
 
-@pytest.mark.parametrize("kind", ["trades", "density"])
+@pytest.mark.parametrize("kind", ["trades", "wealth", "density"])
 def test_cli_unwritable_csv_exits_2_naming_it(tmp_path, capsys, kind):
     """A per-round CSV and a whole-file CSV fail with the same message."""
     out = tmp_path / "out"
@@ -552,7 +552,7 @@ def test_cli_unwritable_csv_exits_2_naming_it(tmp_path, capsys, kind):
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-@pytest.mark.parametrize("kind", ["savings", "density"])
+@pytest.mark.parametrize("kind", ["savings", "wealth", "density"])
 def test_cli_csv_on_a_full_device_exits_2_naming_it(tmp_path, capsys, kind):
     """A CSV that opens but cannot be written (every write to /dev/full fails
     with ENOSPC, here when the buffer is flushed) names the file too."""

@@ -104,3 +104,17 @@ def test_noisy_endpoints_density_smoke():
     ]
     d = build_price_density(endpoints)
     assert buyer_count(d, p_max(d) + 3 * params.sigma) == 0
+
+
+def test_a_trace_drawn_in_pieces_is_the_trace_drawn_whole():
+    """Pieces from one generator, each starting from the last value of the
+    piece before, are the whole trace bit for bit, clamped values included."""
+    params = WalkParams(true_price=1.0, eta=0.5, sigma=2.0)
+    whole = simulate_walk(params, 100, seed=5)
+    rng = np.random.default_rng(np.random.SeedSequence(5))
+    pieces, last = [], None
+    for steps in (1, 30, 69):
+        pieces.append(simulate_walk(params, steps, rng, start=last).values)
+        last = float(pieces[-1][-1])
+    assert whole.clamped > 0
+    assert np.concatenate(pieces).tobytes() == whole.values.tobytes()
