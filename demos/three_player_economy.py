@@ -16,7 +16,7 @@ from camsim import (
     break_even_price,
     build_price_density,
     optimal_assignment,
-    optimal_price,
+    optimal_price_arrays,
     run_market,
 )
 
@@ -26,7 +26,7 @@ players = [
     Player("P2", {"x": 1.0, "y": 2.0}),
     Player("P3", {"x": 1.0, "y": 1.0}),
 ]
-config = EconomyConfig(
+config = EconomyConfig.of(
     players=players,
     jobs=jobs,
     demand={(p.player_id, j.job_id): 1 for p in players for j in jobs},
@@ -47,9 +47,9 @@ print("\nHow P1 prices job x against the other break-evens:")
 others = [break_even_price(config.cost(p, "x"), config.conversion) for p in ("P2", "P3")]
 density = build_price_density(others)
 be = break_even_price(config.cost("P1", "x"), config.conversion)
-sol = optimal_price(be, density, config.price_quantum)
-print(f"  competitor break-evens: {others}, posted price {sol.price:.0f}, "
-      f"{sol.buyers} buyers, profit {sol.profit:.0f}")
+[price], [buyers], [profit] = optimal_price_arrays([be], density, config.price_quantum)
+print(f"  competitor break-evens: {others}, posted price {price:.0f}, "
+      f"{buyers} buyers, profit {profit:.0f}")
 
 state, reports = run_market(config, rounds=5, initial_money=100.0)
 last = reports[-1]

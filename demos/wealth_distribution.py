@@ -27,7 +27,7 @@ players = [
     Player(f"p{i:03d}", {j.job_id: float(rng.uniform(0.5, 2.0)) for j in jobs})
     for i in range(100)
 ]
-config = EconomyConfig(
+config = EconomyConfig.of(
     players=players,
     jobs=jobs,
     demand={(p.player_id, j.job_id): 1 for p in players for j in jobs},

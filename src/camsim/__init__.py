@@ -7,9 +7,9 @@ assignment, price-density pricing, a round-based market with zero-sum
 ledgers, wealth-distribution analysis, and a mean-reverting model of
 noisy price estimation. Checks that only the tests use (assignment net
 energy and stationarity, vectorized buyer counts, density mass and
-largest atom, the no-trade witness, pricing by a per-candidate scan,
-every seller's offer, the round as a loop over the cells) live in
-``tests/oracles.py``.
+largest atom, the no-trade witness, pricing by a per-candidate scan and
+as solution records, every seller's offer, the round as a loop over the
+cells) live in ``tests/oracles.py``.
 """
 
 from .analysis import (
@@ -32,12 +32,9 @@ from .market import (
 )
 from .pricing import (
     PriceDensity,
-    PriceSolution,
     build_price_density,
     buyer_count,
-    optimal_price,
     optimal_price_arrays,
-    optimal_prices,
 )
 from .scenario import ConfigError, ScenarioConfig, load_config, run_scenario
 from .walk import (

@@ -11,6 +11,8 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .core import EconomyConfig
 from .market import RoundReport, conservation_check, run_market
 from .scenario import ConfigError, load_config, run_scenario
@@ -25,15 +27,10 @@ def _no_trade_failures(config: EconomyConfig) -> list[str]:
     which never change, and its own money, which only a trade moves. So a
     round without a trade leaves the next one the same.
     """
-    players = [replace(p, money=None) for p in config.players]
-    shared = config.players[0].efficiencies
+    same = np.broadcast_to(config.efficiencies[0], config.efficiencies.shape)
     variants = {
-        "zero-cost": replace(
-            config, players=players, jobs=[replace(j, workload=0.0) for j in config.jobs]
-        ),
-        "identical-efficiency": replace(
-            config, players=[replace(p, efficiencies=shared) for p in players]
-        ),
+        "zero-cost": replace(config, workloads=np.zeros_like(config.workloads), money=None),
+        "identical-efficiency": replace(config, efficiencies=same, money=None),
     }
     failures = []
     for name, variant in variants.items():

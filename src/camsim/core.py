@@ -1,10 +1,10 @@
 """Domain types and the efficiency -> energy -> price mappings.
 
-An economy is a set of players, each characterised by a per-job efficiency
-vector, a set of jobs with intrinsic workloads, and a per-round demand
-matrix. Executing one unit of a job costs ``workload / efficiency`` energy
-units; the lowest price a producer can post without losing is that cost
-times a global money<->energy conversion rate.
+An economy is a set of tables: each player's efficiency at each job, each
+job's intrinsic workload, and a per-round demand matrix. Executing one unit
+of a job costs ``workload / efficiency`` energy units; the lowest price a
+producer can post without losing is that cost times a global money<->energy
+conversion rate.
 
 An ``EconomyConfig`` tabulates its costs once, when it is built: every
 per-unit cost, each job's total demand and the autarky energy. Everything
@@ -15,7 +15,9 @@ no shared state, safe to call concurrently.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -73,46 +75,93 @@ class Player:
                 )
 
 
-@dataclass
+def _sorted(ids: Sequence[str], what: str) -> tuple[np.ndarray, dict[str, int]]:
+    """The positions of ``ids`` in sorted order, and each id's place in it."""
+    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    place = {ids[k]: r for r, k in enumerate(order.tolist())}
+    if len(place) != len(ids):
+        raise ValueError(f"{what} must be unique")
+    return order, place
+
+
+@dataclass(eq=False)
 class EconomyConfig:
-    """Immutable description of an economy.
+    """Immutable description of an economy, as tables.
 
-    ``demand`` maps ``(player_id, job_id)`` to integer units wanted per
-    round. ``conversion`` is the global currency-per-energy rate;
-    ``price_quantum`` is the smallest representable price step.
+    ``players`` and ``jobs`` are the ids, in any order; ``efficiencies`` is
+    the players x jobs table in that order, ``workloads`` each job's, and
+    ``money`` each player's starting balance (None, or a None table, for the
+    market's endowment). ``demand`` maps ``(player_id, job_id)`` to integer
+    units per round; ``conversion`` is the currency-per-energy rate and
+    ``price_quantum`` the smallest price step. ``EconomyConfig.of`` builds
+    one from lists of ``Player`` and ``JobSpec``.
 
-    Building a config checks it and tabulates it once: ``costs`` is a
-    read-only players x jobs array of ``workload / efficiency`` (never
-    -0.0), rows in sorted player_id order and columns in sorted job_id
-    order; the ids, each job's total demand and the autarky energy are
-    stored beside it. ``units`` is the same table of ``demand`` as floats;
-    ``demand`` keeps the exact integers. ``starting_money`` is each
-    player's ``money`` in the row order ``market.MarketState`` keeps its
-    ledgers in. ``round_bound`` is the most one round can move into any
-    ledger, in energy or money. Nothing on a config changes after it is
-    built: to change an economy, build a new one with ``dataclasses.replace``.
+    Building a config checks every cell, with the messages of ``Player`` and
+    ``JobSpec``, keeps the tables as read-only float64 copies, and tabulates
+    it once. ``costs`` is the read-only players x jobs array of ``workload /
+    efficiency`` (never -0.0), rows and columns in sorted id order, and
+    ``units`` the same table of ``demand`` as floats; ``demand`` keeps the
+    exact integers. ``starting_money`` is ``money`` in that row order, which
+    ``market.MarketState`` keeps its ledgers in, and ``round_bound`` the most
+    one round can move into any ledger, in energy or money. A config never
+    changes: build a changed one with ``dataclasses.replace``.
     """
 
-    players: list[Player]
-    jobs: list[JobSpec]
+    players: Sequence[str]
+    jobs: Sequence[str]
+    efficiencies: np.ndarray
+    workloads: np.ndarray
+    money: Sequence[float | None] | None = None
     demand: dict[tuple[str, str], int] = field(default_factory=dict)
     conversion: float = 1.0
     price_quantum: float = 0.01
 
+    @classmethod
+    def of(cls, players: Sequence[Player], jobs: Sequence[JobSpec], **rest: Any) -> EconomyConfig:
+        """The config of ``players``, each with an efficiency for every one of
+        ``jobs`` and no other; ``rest`` holds the fields from ``demand`` on."""
+        ids, job_ids = [p.player_id for p in players], [j.job_id for j in jobs]
+        _sorted(ids, "player_ids")
+        _, known = _sorted(job_ids, "job_ids")
+        for p in players:
+            who = f"player {p.player_id!r} has"
+            for jid in [*known, *p.efficiencies]:
+                if jid not in p.efficiencies:
+                    raise ValueError(f"{who} no efficiency for job {jid!r}")
+                if jid not in known:
+                    raise ValueError(f"{who} an efficiency for unknown job {jid!r}")
+        table = np.array([[p.efficiencies[j] for j in job_ids] for p in players], dtype=float)
+        money = [p.money for p in players]
+        workloads = [j.workload for j in jobs]
+        return cls(ids, job_ids, table.reshape(len(ids), len(jobs)), workloads, money, **rest)
+
     def __post_init__(self) -> None:
+        rows, self._row = _sorted(self.players, "player_ids")
+        cols, self._col = _sorted(self.jobs, "job_ids")
+        self.efficiencies = eff = np.array(self.efficiencies, dtype=float)
+        self.workloads = np.array(self.workloads, dtype=float)
+        eff.flags.writeable = self.workloads.flags.writeable = False
+        n, m = len(rows), len(cols)
+        money = (None,) * n if self.money is None else self.money
+        if eff.shape != (n, m) or self.workloads.shape != (m,) or len(money) != n:
+            raise ValueError("the tables must have one row per player and one column per job")
+        bad = np.flatnonzero(~(np.isfinite(self.workloads) & (self.workloads >= 0)))
+        if bad.size:
+            raise ValueError(f"job {self.jobs[bad[0]]!r}: workload must be finite and >= 0")
+        for pid, cash in zip(self.players, money):
+            if cash is not None and not _finite(cash):
+                raise ValueError(f"player {pid!r}: money must be finite and >= 0")
+        bad = np.argwhere(~(np.isfinite(eff) & (eff > 0)))
+        if len(bad):
+            r, c = bad[0]
+            raise ValueError(
+                f"player {self.players[r]!r}: efficiency for job {self.jobs[c]!r} "
+                f"must be finite and > 0, got {float(eff[r, c])}"
+            )
         if not _finite(self.conversion, positive=True):
             raise ValueError("conversion must be finite and > 0")
         if not _finite(self.price_quantum, positive=True):
             raise ValueError("price_quantum must be finite and > 0")
-        players = sorted(self.players, key=lambda p: p.player_id)
-        jobs = sorted(self.jobs, key=lambda j: j.job_id)
-        # Row and column of each id in the cost table, in sorted id order.
-        self._row = {p.player_id: r for r, p in enumerate(players)}
-        self._col = {j.job_id: c for c, j in enumerate(jobs)}
-        if len(self._row) != len(players):
-            raise ValueError("player_ids must be unique")
-        if len(self._col) != len(jobs):
-            raise ValueError("job_ids must be unique")
         self._totals = dict.fromkeys(self._col, 0)
         for (pid, jid), units in self.demand.items():
             if pid not in self._row:
@@ -122,21 +171,9 @@ class EconomyConfig:
             if units < 0 or units != int(units):
                 raise ValueError(f"demand for {(pid, jid)} must be a nonnegative integer")
             self._totals[jid] += units
-        for p in self.players:
-            who = f"player {p.player_id!r} has"
-            for jid in self._col:
-                if jid not in p.efficiencies:
-                    raise ValueError(f"{who} no efficiency for job {jid!r}")
-            for jid in p.efficiencies:
-                if jid not in self._col:
-                    raise ValueError(f"{who} an efficiency for unknown job {jid!r}")
-        self.starting_money = tuple(p.money for p in players)
-        efficiencies = np.array(
-            [[p.efficiencies[j] for j in self._col] for p in players], dtype=float
-        ).reshape(len(players), len(jobs))
-        workloads = np.array([j.workload for j in jobs], dtype=float)
-        with np.errstate(over="ignore"):
-            self.costs = workloads / efficiencies + 0.0  # a -0.0 workload costs 0.0
+        self.starting_money = tuple(money[r] for r in rows.tolist())
+        with np.errstate(over="ignore"):  # a -0.0 workload costs 0.0
+            self.costs = self.workloads[cols] / eff[rows[:, None], cols] + 0.0
             highest = self.costs * max(self.conversion, 1.0)
         self.costs.flags.writeable = False
         bad = np.argwhere(~np.isfinite(highest))

@@ -119,9 +119,9 @@ def post_offers(config: EconomyConfig) -> list[Offer]:
     """Per job, in job_id order, the first two offers in the order buyers take them.
 
     Every seller is priced against the density of all the job's break-evens.
-    Its own atom sits at its break-even, where optimal_prices neither posts
-    nor counts a buyer, so the density of the others would give the same
-    price. Of the offers with positive profit, the first two by (price,
+    Its own atom sits at its break-even, where ``optimal_price_arrays``
+    neither posts nor counts a buyer, so the density of the others would give
+    the same price. Of the offers with positive profit, the first two by (price,
     seller cost, seller id) are kept: a buyer takes the first offer from
     someone else, which is one of these two.
 

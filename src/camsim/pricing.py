@@ -12,9 +12,9 @@ A density is two arrays from one ``np.unique``. ``optimal_price_arrays``
 tabulates the candidates (each atom less one quantum) and their buyers, then
 takes every break-even's first maximum gain in one array pass over a table
 of break-evens by candidates, built in row blocks of a fixed number of cells
-so its memory stays O(A). ``optimal_prices`` wraps its three arrays as
-solutions. Equal break-evens get equal solutions, so ``market.post_offers``
-prices each job's A atoms once, O(A²) time, with no Python per atom.
+so its memory stays O(A). Equal break-evens get equal solutions, so
+``market.post_offers`` prices each job's A atoms once, O(A²) time, with no
+Python per atom.
 """
 
 from __future__ import annotations
@@ -49,15 +49,6 @@ class PriceDensity:
             object.__setattr__(self, name, a)
 
 
-@dataclass(frozen=True)
-class PriceSolution:
-    """A posted price with its realized buyer count and profit."""
-
-    price: float
-    buyers: int
-    profit: float
-
-
 def build_price_density(costs: list[float] | np.ndarray) -> PriceDensity:
     """Group break-even prices into atoms, one per distinct price, with its count."""
     costs = np.asarray(costs, dtype=float)
@@ -82,7 +73,8 @@ _BLOCK_CELLS = 2**17
 def optimal_price_arrays(
     break_evens: list[float] | np.ndarray, density: PriceDensity, quantum: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``optimal_prices`` as three arrays: the price, buyers and profit of each.
+    """Each break-even's best posting: arrays of its price, buyers and profit.
+    Ties go to the lowest price; with no positive profit, the break-even and 0.
 
     Row i of the gains table is ``(cands - b_i) * buyers`` over the
     candidates, each atom less one quantum. The table is built in blocks of
@@ -124,25 +116,3 @@ def optimal_price_arrays(
         at, j = start + win, lo + j[win]
         price[at], count[at], profit[at] = cands[j], buyers[j], best[win]
     return price, count, profit
-
-
-def optimal_prices(
-    break_evens: list[float] | np.ndarray, density: PriceDensity, quantum: float
-) -> list[PriceSolution]:
-    """Profit-maximizing posting over quantized prices, for each break-even.
-
-    Because buying requires a strict improvement and the density is atomic,
-    the profit maximum over the quantized grid is always attained one
-    quantum below some atom (or nowhere). Ties go to the lowest price;
-    when no posting earns a positive profit, the break-even itself is
-    returned with profit 0. The solutions are ``optimal_price_arrays``'s.
-    """
-    arrays = optimal_price_arrays(break_evens, density, quantum)
-    return [PriceSolution(*sol) for sol in zip(*(a.tolist() for a in arrays))]
-
-
-def optimal_price(
-    break_even: float, density: PriceDensity, quantum: float
-) -> PriceSolution:
-    """``optimal_prices`` for one seller."""
-    return optimal_prices([break_even], density, quantum)[0]

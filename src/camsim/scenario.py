@@ -194,6 +194,14 @@ def _demand(x: Any) -> int | dict[tuple[str, str], int]:
     return {(pid, jid): units for pid, row in rows.items() for jid, units in row.items()}
 
 
+def _id(x: Any) -> str:
+    """A player or job id. CSVs print ids unquoted: no comma, quote, CR or LF."""
+    x = str(x)
+    if any(c in x for c in ',"\r\n'):
+        raise ValueError(" must not contain a comma, a double quote, CR or LF")
+    return x
+
+
 def _outputs(x: Any) -> list[str]:
     if not isinstance(x, list) or any(o not in OUTPUT_KINDS for o in x):
         raise ValueError(f" must be a list drawn from {OUTPUT_KINDS}")
@@ -249,13 +257,13 @@ SCENARIO_RULE = _mapping(
     {
         "jobs": _list_of(
             _mapping(
-                {"job_id": str, "workload": _NONNEGATIVE}, ("job_id", "workload"), JobSpec
+                {"job_id": _id, "workload": _NONNEGATIVE}, ("job_id", "workload"), JobSpec
             )
         ),
         "players": _list_of(
             _mapping(
                 {
-                    "player_id": str,
+                    "player_id": _id,
                     "efficiencies": _by_id(_POSITIVE),
                     "money": _NONNEGATIVE,
                 },
@@ -352,36 +360,24 @@ def _draw_efficiencies(
 
 
 def build_economy(sc: ScenarioConfig) -> EconomyConfig:
-    """Materialize the economy, drawing any generated population."""
+    """Materialize the economy. A generated population is drawn as one
+    efficiency table and passed in as it is, never as ``Player`` objects."""
     if sc.players is not None:
-        players = sc.players
+        ids = [p.player_id for p in sc.players]
     else:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(sc.master_seed, spawn_key=(0,))
-        )
-        job_ids = sorted(j.job_id for j in sc.jobs)
-        eff = _draw_efficiencies(sc.population, len(job_ids), rng)
         width = max(4, len(str(sc.population.count)))
-        players = [
-            Player(
-                f"P{i + 1:0{width}d}",
-                {jid: float(eff[i, k]) for k, jid in enumerate(job_ids)},
-            )
-            for i in range(sc.population.count)
-        ]
-    if isinstance(sc.demand, dict):
-        demand = dict(sc.demand)
-    else:
-        demand = {
-            (p.player_id, j.job_id): sc.demand for p in players for j in sc.jobs
-        }
-    return EconomyConfig(
-        players=players,
-        jobs=list(sc.jobs),
-        demand=demand,
-        conversion=sc.conversion,
-        price_quantum=sc.price_quantum,
-    )
+        ids = [f"P{i + 1:0{width}d}" for i in range(sc.population.count)]
+    demand = dict(sc.demand) if isinstance(sc.demand, dict) else {
+        (pid, j.job_id): sc.demand for pid in ids for j in sc.jobs
+    }
+    rest = dict(demand=demand, conversion=sc.conversion, price_quantum=sc.price_quantum)
+    if sc.players is not None:
+        return EconomyConfig.of(sc.players, sc.jobs, **rest)
+    rng = np.random.default_rng(np.random.SeedSequence(sc.master_seed, spawn_key=(0,)))
+    jobs = sorted(sc.jobs, key=lambda j: j.job_id)
+    with np.errstate(over="ignore"):  # the config reports a draw of inf or 0
+        eff = _draw_efficiencies(sc.population, len(jobs), rng)
+    return EconomyConfig(ids, [j.job_id for j in jobs], eff, [j.workload for j in jobs], **rest)
 
 
 def export_csv(rows: Iterable[str], header: Sequence[str], path: str | Path) -> Path:

@@ -16,7 +16,7 @@ def golden_config(price_quantum: float = 1.0) -> EconomyConfig:
         Player("P3", {"x": 1.0, "y": 1.0}),
     ]
     demand = {(p.player_id, j.job_id): 1 for p in players for j in jobs}
-    return EconomyConfig(
+    return EconomyConfig.of(
         players=players,
         jobs=jobs,
         demand=demand,

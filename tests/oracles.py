@@ -7,6 +7,7 @@ time, so the faster code in ``camsim`` can be held to it.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from camsim import (
     MarketState,
     Offer,
     PriceDensity,
-    PriceSolution,
     RoundReport,
     TradeRecord,
     autarky_energy,
@@ -24,7 +24,7 @@ from camsim import (
     build_price_density,
     buyer_count,
     derive_trace_seed,
-    optimal_price,
+    optimal_price_arrays,
     simulate_walk,
 )
 from camsim.market import SelfProduction
@@ -36,6 +36,37 @@ from camsim.scenario import (
     _trade_lines,
     build_economy,
 )
+
+
+@dataclass(frozen=True)
+class PriceSolution:
+    """A posted price with its realized buyer count and profit."""
+
+    price: float
+    buyers: int
+    profit: float
+
+
+def optimal_prices(
+    break_evens: list[float] | np.ndarray, density: PriceDensity, quantum: float
+) -> list[PriceSolution]:
+    """Profit-maximizing posting over quantized prices, for each break-even.
+
+    Because buying requires a strict improvement and the density is atomic,
+    the profit maximum over the quantized grid is always attained one
+    quantum below some atom (or nowhere). Ties go to the lowest price;
+    when no posting earns a positive profit, the break-even itself is
+    returned with profit 0. The solutions are ``optimal_price_arrays``'s.
+    """
+    arrays = optimal_price_arrays(break_evens, density, quantum)
+    return [PriceSolution(*sol) for sol in zip(*(a.tolist() for a in arrays))]
+
+
+def optimal_price(
+    break_even: float, density: PriceDensity, quantum: float
+) -> PriceSolution:
+    """``optimal_prices`` for one seller."""
+    return optimal_prices([break_even], density, quantum)[0]
 
 
 def validate(producer_of: dict[str, str], config: EconomyConfig) -> None:
@@ -172,9 +203,8 @@ def ranked_offers(config: EconomyConfig) -> list[Offer]:
 
 def cost_by_cell(config: EconomyConfig, pid: str, jid: str) -> float:
     """Per-unit energy cost from its definition: workload / efficiency."""
-    [job] = [j for j in config.jobs if j.job_id == jid]
-    [player] = [p for p in config.players if p.player_id == pid]
-    return job.workload / player.efficiencies[jid]
+    r, c = list(config.players).index(pid), list(config.jobs).index(jid)
+    return float(config.workloads[c]) / float(config.efficiencies[r, c])
 
 
 def total_demand_by_scan(config: EconomyConfig, jid: str) -> int:

@@ -22,7 +22,6 @@ from camsim import (
     gini,
     load_config,
     optimal_assignment,
-    optimal_price,
     pareto_tail_fit,
     run_market,
     run_scenario,
@@ -30,7 +29,14 @@ from camsim import (
     stationary_stats,
 )
 from camsim.scenario import artifact_digests
-from tests.oracles import atoms, buyer_counts, p_max, stationarity_check, total_mass
+from tests.oracles import (
+    atoms,
+    buyer_counts,
+    optimal_price,
+    p_max,
+    stationarity_check,
+    total_mass,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,7 +58,7 @@ def _random_economy(rng, n_players, n_jobs, max_units=3, zero_workload=False):
         for p in players
         for j in jobs
     }
-    return EconomyConfig(players=players, jobs=jobs, demand=demand)
+    return EconomyConfig.of(players=players, jobs=jobs, demand=demand)
 
 
 def _random_density(rng, quantum=0.5, max_atoms=40, max_price_steps=200):
@@ -90,7 +96,7 @@ def test_criterion_2_no_trade_theorem():
         jobs = [JobSpec(f"j{k}", float(rng.uniform(1, 20))) for k in range(3)]
         shared = {j.job_id: float(rng.uniform(0.5, 2.0)) for j in jobs}
         players = [Player(f"p{n}", dict(shared)) for n in range(int(rng.integers(2, 20)))]
-        identical = EconomyConfig(
+        identical = EconomyConfig.of(
             players=players,
             jobs=jobs,
             demand={(p.player_id, j.job_id): 1 for p in players for j in jobs},
@@ -168,7 +174,7 @@ def test_criterion_7_wealth_concentration():
         Player(f"p{i:03d}", {j.job_id: float(rng.uniform(0.5, 2.0)) for j in jobs})
         for i in range(100)
     ]
-    cfg = EconomyConfig(
+    cfg = EconomyConfig.of(
         players=players,
         jobs=jobs,
         demand={(p.player_id, j.job_id): 1 for p in players for j in jobs},

@@ -76,7 +76,7 @@ def test_correlation_negative_control():
 
     # distinct efficiencies so the margin ranking has no ties
     players = [Player(f"P{i}", {"x": 1.0 + i}) for i in range(4)]
-    cfg = EconomyConfig(players=players, jobs=[JobSpec("x", 12.0)])
+    cfg = EconomyConfig.of(players=players, jobs=[JobSpec("x", 12.0)])
     wealth = -best_margins(cfg)  # the largest margin is the poorest
     assert efficiency_wealth_correlation(wealth, cfg) == -1.0
 
@@ -93,7 +93,7 @@ def test_correlation_matches_scipy_spearman(pairs):
     from camsim import EconomyConfig, JobSpec, Player
 
     players = [Player(f"P{i:02d}", {"x": float(eff)}) for i, (eff, _) in enumerate(pairs)]
-    cfg = EconomyConfig(players=players, jobs=[JobSpec("x", 12.0)])
+    cfg = EconomyConfig.of(players=players, jobs=[JobSpec("x", 12.0)])
     wealth = [float(w) for _, w in pairs]  # ids P00, P01, ... sort as listed
     margins = best_margins(cfg).tolist()
     if len(set(margins)) == 1 or len(set(wealth)) == 1:
@@ -108,7 +108,7 @@ def test_correlation_degenerate_efficiencies():
     from camsim import EconomyConfig, JobSpec, Player
 
     players = [Player(f"P{i}", {"x": 1.0}) for i in range(4)]
-    cfg = EconomyConfig(players=players, jobs=[JobSpec("x", 5.0)])
+    cfg = EconomyConfig.of(players=players, jobs=[JobSpec("x", 5.0)])
     wealth = [1.0] * len(players)
     with pytest.raises(ValueError):
         efficiency_wealth_correlation(wealth, cfg)
@@ -118,7 +118,7 @@ def test_correlation_too_few_players():
     from camsim import EconomyConfig, JobSpec, Player
 
     players = [Player("a", {"x": 1.0}), Player("b", {"x": 2.0})]
-    cfg = EconomyConfig(players=players, jobs=[JobSpec("x", 5.0)])
+    cfg = EconomyConfig.of(players=players, jobs=[JobSpec("x", 5.0)])
     with pytest.raises(ValueError, match="need at least 3 players"):
         efficiency_wealth_correlation([1.0, 2.0], cfg)
 
@@ -127,7 +127,7 @@ def test_correlation_needs_one_wealth_per_player():
     from camsim import EconomyConfig, JobSpec, Player
 
     players = [Player(f"P{i}", {"x": 1.0 + i}) for i in range(4)]
-    cfg = EconomyConfig(players=players, jobs=[JobSpec("x", 5.0)])
+    cfg = EconomyConfig.of(players=players, jobs=[JobSpec("x", 5.0)])
     for wealth in ([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0, 4.0]]):
         with pytest.raises(ValueError, match="one wealth per player"):
             efficiency_wealth_correlation(wealth, cfg)

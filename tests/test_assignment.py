@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ def random_economy(rng, n_players, n_jobs, eff_low=0.5, eff_high=2.0):
     demand = {
         (p.player_id, j.job_id): int(rng.integers(0, 4)) for p in players for j in jobs
     }
-    return EconomyConfig(players=players, jobs=jobs, demand=demand)
+    return EconomyConfig.of(players=players, jobs=jobs, demand=demand)
 
 
 def dyadic_economy(rng, n_players, n_jobs):
@@ -38,7 +40,7 @@ def dyadic_economy(rng, n_players, n_jobs):
     demand = {
         (p.player_id, j.job_id): int(rng.integers(0, 4)) for p in players for j in jobs
     }
-    return EconomyConfig(players=players, jobs=jobs, demand=demand)
+    return EconomyConfig.of(players=players, jobs=jobs, demand=demand)
 
 
 def test_net_energy_golden(golden):
@@ -52,7 +54,7 @@ def test_net_energy_missing_job_is_error(golden):
 
 
 def test_net_energy_empty_jobs():
-    cfg = EconomyConfig(players=[Player("P1", {})], jobs=[])
+    cfg = EconomyConfig.of(players=[Player("P1", {})], jobs=[])
     assert net_energy({}, cfg) == 0
 
 
@@ -63,7 +65,7 @@ def test_brute_force_golden(golden):
 
 
 def test_brute_force_single_player():
-    cfg = EconomyConfig(
+    cfg = EconomyConfig.of(
         players=[Player("solo", {"x": 1.0, "y": 2.0})],
         jobs=[JobSpec("x", 5.0), JobSpec("y", 5.0)],
         demand={("solo", "x"): 1, ("solo", "y"): 1},
@@ -74,7 +76,7 @@ def test_brute_force_single_player():
 
 def test_brute_force_identical_players_ties_lexicographically():
     players = [Player(pid, {"x": 1.0, "y": 1.0}) for pid in ("a", "b", "c")]
-    cfg = EconomyConfig(
+    cfg = EconomyConfig.of(
         players=players,
         jobs=[JobSpec("x", 3.0), JobSpec("y", 3.0)],
         demand={(p.player_id, "x"): 1 for p in players},
@@ -141,7 +143,7 @@ def test_stationarity_golden(golden):
 
 
 def test_stationarity_single_player():
-    cfg = EconomyConfig(
+    cfg = EconomyConfig.of(
         players=[Player("solo", {"x": 1.0})],
         jobs=[JobSpec("x", 5.0)],
         demand={("solo", "x"): 2},
@@ -153,12 +155,10 @@ def test_player_relabel_invariance():
     rng = np.random.default_rng(42)
     cfg = random_economy(rng, n_players=4, n_jobs=3)
     best, energy = brute_force_min_assignment(cfg)
-    renamed = {p.player_id: f"z{p.player_id}" for p in cfg.players}
-    cfg2 = EconomyConfig(
-        players=[
-            Player(renamed[p.player_id], dict(p.efficiencies)) for p in cfg.players
-        ],
-        jobs=cfg.jobs,
+    renamed = {pid: f"z{pid}" for pid in cfg.players}
+    cfg2 = dataclasses.replace(
+        cfg,
+        players=[renamed[pid] for pid in cfg.players],
         demand={(renamed[pid], jid): u for (pid, jid), u in cfg.demand.items()},
     )
     best2, energy2 = brute_force_min_assignment(cfg2)

@@ -28,7 +28,7 @@ finite_pos = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 
 
 def one_cell(efficiency: float, workload: float) -> EconomyConfig:
-    return EconomyConfig(
+    return EconomyConfig.of(
         players=[Player("P1", {"x": efficiency})], jobs=[JobSpec("x", workload)]
     )
 
@@ -63,16 +63,52 @@ workloads = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3))
 
 
 @st.composite
-def economies(draw) -> EconomyConfig:
-    """Off-grid, tiny and huge efficiencies, zero workloads, zero demand cells."""
+def economy_lists(draw) -> tuple[list[Player], list[JobSpec], dict[tuple[str, str], int]]:
+    """Off-grid, tiny and huge efficiencies, zero workloads, zero demand
+    cells, and balances omitted or given."""
     n = draw(st.integers(1, 5))
     jobs = [JobSpec(f"j{k}", draw(workloads)) for k in range(draw(st.integers(1, 4)))]
     players = [
-        Player(f"P{i}", {j.job_id: draw(efficiencies) for j in jobs}) for i in range(n)
+        Player(
+            f"P{i}",
+            {j.job_id: draw(efficiencies) for j in jobs},
+            draw(st.none() | st.floats(min_value=0.0, max_value=1e6)),
+        )
+        for i in range(n)
     ]
     cells = [(p.player_id, j.job_id) for p in players for j in jobs]
     demand = draw(st.dictionaries(st.sampled_from(cells), st.integers(0, 5)))
-    return EconomyConfig(players=players, jobs=jobs, demand=demand)
+    return players, jobs, demand
+
+
+def economies() -> st.SearchStrategy[EconomyConfig]:
+    return economy_lists().map(lambda lists: EconomyConfig.of(*lists[:2], demand=lists[2]))
+
+
+@given(lists=economy_lists(), data=st.data())
+def test_the_adapter_and_shuffled_tables_build_the_same_config(lists, data):
+    """Player and JobSpec lists, and the same data given as tables with the
+    rows and columns in any order, tabulate bit for bit alike."""
+    players, jobs, demand = lists
+    rows, cols = data.draw(st.permutations(players)), data.draw(st.permutations(jobs))
+    adapted = EconomyConfig.of(players, jobs, demand=demand)
+    tables = EconomyConfig(
+        players=[p.player_id for p in rows],
+        jobs=[j.job_id for j in cols],
+        efficiencies=np.array([[p.efficiencies[j.job_id] for j in cols] for p in rows]),
+        workloads=np.array([j.workload for j in cols]),
+        money=[p.money for p in rows],
+        demand=demand,
+    )
+    for name in ("costs", "units"):
+        a, b = getattr(adapted, name), getattr(tables, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert repr(tables.starting_money) == repr(adapted.starting_money)
+    assert tables.player_ids() == adapted.player_ids()
+    assert tables.job_ids() == adapted.job_ids()
+    for jid in adapted.job_ids():
+        assert tables.total_demand(jid) == adapted.total_demand(jid)
+    assert autarky_energy(tables).hex() == autarky_energy(adapted).hex()
 
 
 @given(config=economies())
@@ -90,7 +126,7 @@ def test_table_matches_per_cell_definitions(config):
     ids.append("ghost")
     jobs.clear()
     assert "ghost" not in config.player_ids()
-    assert config.job_ids() == sorted(j.job_id for j in config.jobs)
+    assert config.job_ids() == sorted(config.jobs)
 
 
 def test_break_even_examples():
@@ -125,7 +161,7 @@ def test_autarky_golden(golden):
 
 
 def test_autarky_single_player():
-    cfg = EconomyConfig(
+    cfg = EconomyConfig.of(
         players=[Player("P1", {"x": 1.0})],
         jobs=[JobSpec("x", 10.0)],
         demand={("P1", "x"): 1},
@@ -134,22 +170,16 @@ def test_autarky_single_player():
 
 
 def test_autarky_zero_demand(golden):
-    cfg = EconomyConfig(
-        players=golden.players,
-        jobs=golden.jobs,
-        demand={k: 0 for k in golden.demand},
-        conversion=golden.conversion,
-        price_quantum=golden.price_quantum,
-    )
+    cfg = dataclasses.replace(golden, demand={k: 0 for k in golden.demand})
     assert autarky_energy(cfg) == 0
 
 
 def test_autarky_matches_brute_force_sum(golden):
     expected = 0.0
-    for p in golden.players:
-        for j in golden.jobs:
-            units = golden.demand.get((p.player_id, j.job_id), 0)
-            expected += units * j.workload / p.efficiencies[j.job_id]
+    for r, pid in enumerate(golden.players):
+        for c, jid in enumerate(golden.jobs):
+            units = golden.demand.get((pid, jid), 0)
+            expected += units * golden.workloads[c] / golden.efficiencies[r, c]
     assert autarky_energy(golden) == pytest.approx(expected, rel=1e-12)
 
 
@@ -159,10 +189,12 @@ def test_autarky_matches_brute_force_sum(golden):
 def test_player_money_must_be_finite_and_nonnegative(golden, money):
     """The YAML rule's bound holds for players built in code too: a NaN
     balance would pass the ledger bound and every conservation check."""
-    p2 = golden.players[1]
+    p2 = Player("P2", {"x": 1.0, "y": 2.0})
     with pytest.raises(ValueError, match="'P2': money must be finite and >= 0"):
         dataclasses.replace(p2, money=money)
     assert Player("P2", p2.efficiencies, money=0.0).money == 0.0
+    with pytest.raises(ValueError, match="'P2': money must be finite and >= 0"):
+        dataclasses.replace(golden, money=[None, money, None])
 
 
 HUGE = 10**400  # an int too large for a float
@@ -174,8 +206,8 @@ HUGE = 10**400  # an int too large for a float
         (lambda v: Player("P", {"x": v}), "'P': efficiency for job 'x' must be"),
         (lambda v: Player("P", {"x": 1.0}, money=v), "'P': money must be finite"),
         (lambda v: JobSpec("x", v), "'x': workload must be finite and >= 0"),
-        (lambda v: EconomyConfig([], [], conversion=v), "conversion must be finite"),
-        (lambda v: EconomyConfig([], [], price_quantum=v), "price_quantum must be"),
+        (lambda v: EconomyConfig.of([], [], conversion=v), "conversion must be finite"),
+        (lambda v: EconomyConfig.of([], [], price_quantum=v), "price_quantum must be"),
     ],
     ids=["efficiency", "money", "workload", "conversion", "price_quantum"],
 )
@@ -188,21 +220,30 @@ def test_numbers_built_in_code_follow_the_yaml_rules(build, message, value):
     build(1)  # an int that fits is a number
 
 
-def test_config_validation():
+def test_config_validation(golden):
+    """Players, jobs and the same cells given as tables are checked alike."""
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             Player("P1", {"x": bad})
+        table = golden.efficiencies.copy()
+        table[1, 0] = bad
+        with pytest.raises(ValueError, match=f"'P2': efficiency for job 'x' .* got {bad}"):
+            dataclasses.replace(golden, efficiencies=table)
     for bad in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             JobSpec("x", bad)
+        with pytest.raises(ValueError, match="'y': workload must be finite and >= 0"):
+            dataclasses.replace(golden, workloads=[10.0, bad])
+    with pytest.raises(ValueError, match="one row per player and one column per job"):
+        dataclasses.replace(golden, workloads=[10.0])
     with pytest.raises(ValueError):
-        EconomyConfig(
+        EconomyConfig.of(
             players=[Player("P1", {"x": 1.0})],
             jobs=[JobSpec("x", 1.0)],
             demand={("ghost", "x"): 1},
         )
     with pytest.raises(ValueError):
-        EconomyConfig(
+        EconomyConfig.of(
             players=[Player("P1", {})],
             jobs=[JobSpec("x", 1.0)],
         )

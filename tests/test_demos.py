@@ -1,5 +1,6 @@
-"""Every script in demos/ runs to completion against the package in src/,
-with warnings as errors, as pyproject.toml sets them for the tests."""
+"""Every script in demos/, and the README's quick start, runs to completion
+against the package in src/, with warnings as errors, as pyproject.toml sets
+them for the tests."""
 
 import os
 import subprocess
@@ -12,14 +13,27 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo):
+def run_python(*args: str) -> None:
     env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-W", "error", str(demo)],
+        [sys.executable, "-W", "error", *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    run_python(str(demo))
+
+
+def test_readme_quick_start_runs():
+    """The first python block under the README's "Quick start" heading."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "EconomyConfig" in code
+    run_python("-c", code)

@@ -29,7 +29,7 @@ from tests.oracles import execute_round_by_cell, ranked_offers
 def zero_cost_config():
     jobs = [JobSpec("x", 0.0)]
     players = [Player(f"P{i}", {"x": 1.0 + i}) for i in range(4)]
-    return EconomyConfig(
+    return EconomyConfig.of(
         players=players,
         jobs=jobs,
         demand={(p.player_id, "x"): 1 for p in players},
@@ -40,7 +40,7 @@ def zero_cost_config():
 def identical_efficiency_config():
     jobs = [JobSpec("x", 10.0), JobSpec("y", 4.0)]
     players = [Player(f"P{i}", {"x": 1.5, "y": 0.5}) for i in range(5)]
-    return EconomyConfig(
+    return EconomyConfig.of(
         players=players,
         jobs=jobs,
         demand={(p.player_id, j.job_id): 2 for p in players for j in jobs},
@@ -55,7 +55,7 @@ def test_post_offers_golden(golden):
 def test_post_offers_degenerate_cases():
     assert post_offers(zero_cost_config()) == []
     assert post_offers(identical_efficiency_config()) == []
-    solo = EconomyConfig(
+    solo = EconomyConfig.of(
         players=[Player("only", {"x": 1.0})],
         jobs=[JobSpec("x", 10.0)],
         demand={("only", "x"): 1},
@@ -73,7 +73,7 @@ FLOAT_TIE = {
 
 
 def one_job_economy(efficiencies: dict[str, float]) -> EconomyConfig:
-    return EconomyConfig(
+    return EconomyConfig.of(
         players=[Player(pid, {"x": eff}) for pid, eff in efficiencies.items()],
         jobs=[JobSpec("x", 5.5)],
         demand={(pid, "x"): 1 for pid in efficiencies},
@@ -126,7 +126,7 @@ def economies(draw):
         Player(f"P{i}", {job.job_id: efficiency() for job in jobs})
         for i in range(draw(st.integers(1, 8)))
     ]
-    return EconomyConfig(
+    return EconomyConfig.of(
         players=players,
         jobs=jobs,
         demand={(p.player_id, j.job_id): draw(st.integers(0, 3)) for p in players for j in jobs},
@@ -154,7 +154,7 @@ def three_hundred_players() -> EconomyConfig:
         Player(f"P{i:03d}", {job.job_id: rng.uniform(0.25, 4.0) for job in jobs})
         for i in range(300)
     ]
-    return EconomyConfig(
+    return EconomyConfig.of(
         players=players,
         jobs=jobs,
         demand={(p.player_id, j.job_id): 1 for p in players for j in jobs},
@@ -178,19 +178,14 @@ def test_post_offers_prices_each_distinct_break_even_once(monkeypatch):
 
     monkeypatch.setattr("camsim.market.optimal_price_arrays", recording)
     config = three_hundred_players()
-    repeated = dataclasses.replace(
-        config,
-        players=[
-            dataclasses.replace(p, efficiencies=config.players[i % 3].efficiencies)
-            for i, p in enumerate(config.players)
-        ],
-    )
+    eff = config.efficiencies
+    repeated = dataclasses.replace(config, efficiencies=eff[np.arange(len(eff)) % 3])
     for cfg in (config, repeated):
         calls.clear()
         post_offers(cfg)
         expected = [
             sorted(set((cfg.conversion * cfg.costs[:, c]).tolist()))
-            for c in range(len(cfg.jobs))
+            for c in range(len(cfg.job_ids()))
         ]
         assert calls == expected
     assert [len(c) for c in calls] == [3, 3, 3]
@@ -229,7 +224,7 @@ def test_negative_zero_is_stored_as_zero():
     """A config built in code follows the YAML rule: a -0.0 workload costs
     0.0 and a -0.0 starting balance starts at 0.0, so neither prints as -0."""
     players = [Player("P1", {"x": 1.0}, money=-0.0), Player("P2", {"x": 2.0})]
-    config = EconomyConfig(players=players, jobs=[JobSpec("x", -0.0)])
+    config = EconomyConfig.of(players=players, jobs=[JobSpec("x", -0.0)])
     assert not np.signbit(config.costs).any()
     assert not np.signbit(MarketState.from_config(config, -0.0).money).any()
 
@@ -400,9 +395,9 @@ def test_the_round_plan_is_kept_per_config(golden):
     cheaper than the 9 offered, and pays 20 a unit of y. The second round
     must not reuse the first config's plan."""
     offers = post_offers(golden)
-    p1, p2, p3 = golden.players
-    faster = dataclasses.replace(p3, efficiencies={"x": 4.0, "y": 0.5})
-    other = dataclasses.replace(golden, players=[p1, p2, faster])
+    faster = golden.efficiencies.copy()
+    faster[2] = 4.0, 0.5  # P3's x and y
+    other = dataclasses.replace(golden, efficiencies=faster)
     state, _ = execute_round(golden, MarketState.from_config(golden), offers)
     slow, _ = execute_round_by_cell(golden, MarketState.from_config(golden), offers)
     state, report = execute_round(other, state, offers)
@@ -551,8 +546,7 @@ def test_execute_round_updates_the_given_state(golden):
 
 
 def test_explicit_zero_money_starts_at_zero(golden):
-    p1, p2, p3 = golden.players
-    cfg = dataclasses.replace(golden, players=[p1, p2, dataclasses.replace(p3, money=0.0)])
+    cfg = dataclasses.replace(golden, money=[None, None, 0.0])
     state = MarketState.from_config(cfg, initial_money=100.0)
     assert state.money.tolist() == [100.0, 100.0, 0.0]
     _, report = execute_round(cfg, state, post_offers(cfg))

@@ -12,16 +12,16 @@ from camsim import (
     PriceDensity,
     build_price_density,
     buyer_count,
-    optimal_price,
     optimal_price_arrays,
-    optimal_prices,
     pricing,
 )
 from tests.oracles import (
     atoms,
     buyer_counts,
     no_trade_witness,
+    optimal_price,
     optimal_price_by_scan,
+    optimal_prices,
     p_max,
     total_mass,
 )

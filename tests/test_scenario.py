@@ -85,7 +85,7 @@ def test_uniform_low_must_not_exceed_high():
     with pytest.raises(ConfigError, match="population: params: low must be <= high"):
         parse_mapping(golden_with(population % "{low: 2.5, high: 2.0}"))
     sc = parse_mapping(golden_with(population % "{low: 2.0, high: 2.0}"))
-    assert {e for p in build_economy(sc).players for e in p.efficiencies.values()} == {2.0}
+    assert set(build_economy(sc).efficiencies.ravel().tolist()) == {2.0}
 
 
 def test_validation_collects_all_errors(tmp_path):
@@ -217,7 +217,9 @@ def test_generated_population_round_trip(tmp_path):
     economy = build_economy(sc)
     assert len(economy.players) == 10
     # same seed, same draws
-    assert build_economy(sc).players == economy.players
+    again = build_economy(sc)
+    assert again.players == economy.players
+    assert again.efficiencies.tobytes() == economy.efficiencies.tobytes()
 
 
 def test_run_scenario_matches_fixtures(tmp_path):
@@ -465,6 +467,23 @@ def test_cli_check_variants_post_no_offers(monkeypatch, economy):
         assert market.post_offers(variant) == []
 
 
+def test_a_drawn_population_and_its_check_variants_build_no_player(monkeypatch):
+    """A drawn population reaches EconomyConfig as its efficiency table, and
+    the no-trade variants replace tables, so neither builds a Player."""
+
+    def no_player(self):
+        raise AssertionError(f"Player {self.player_id!r} built")
+
+    monkeypatch.setattr(Player, "__post_init__", no_player)
+    population = (
+        "population: {count: 50, efficiency_distribution: uniform,"
+        " params: {low: 0.5, high: 2.0}}"
+    )
+    config = build_economy(parse_mapping(golden_with(population)))
+    assert config.efficiencies.shape == (50, 2)
+    assert _no_trade_failures(config) == []
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -504,11 +523,8 @@ def test_a_walk_from_negative_zero_writes_the_bytes_of_zero(tmp_path):
 @pytest.mark.parametrize(
     "traded, message",
     [
-        (lambda c: all(j.workload == 0 for j in c.jobs), "zero-cost"),
-        (
-            lambda c: all(p.efficiencies == c.players[0].efficiencies for p in c.players),
-            "identical-efficiency",
-        ),
+        (lambda c: (c.workloads == 0).all(), "zero-cost"),
+        (lambda c: (c.efficiencies == c.efficiencies[0]).all(), "identical-efficiency"),
     ],
     ids=["zero-cost", "identical-efficiency"],
 )
@@ -656,6 +672,32 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             "rounds: 300",
             "300 rounds times the most one round moves",
         ),
+        (
+            "population: {count: 5, efficiency_distribution: pareto,"
+            " params: {alpha: 0.001, minimum: 1.0e300}}",
+            "player 'P0001': efficiency for job 'x' must be finite and > 0, got inf",
+        ),
+        (
+            "population: {count: 5, efficiency_distribution: log-normal,"
+            " params: {mu: -800.0, sigma: 0.0}}",
+            "player 'P0001': efficiency for job 'x' must be finite and > 0, got 0.0",
+        ),
+        (
+            "players: [{player_id: 'P,1', efficiencies: {x: 1.0, y: 1.0}}]",
+            "players[0]: player_id must not contain a comma, a double quote, CR or LF",
+        ),
+        (
+            'players: [{player_id: "P\\n2", efficiencies: {x: 1.0, y: 1.0}}]',
+            "players[0]: player_id must not contain a comma, a double quote, CR or LF",
+        ),
+        (
+            "jobs: [{job_id: 'x\"', workload: 1.0}]",
+            "jobs[0]: job_id must not contain a comma, a double quote, CR or LF",
+        ),
+        (
+            'jobs: [{job_id: "x\\r", workload: 1.0}]',
+            "jobs[0]: job_id must not contain a comma, a double quote, CR or LF",
+        ),
     ],
     ids=[
         "missing-efficiency",
@@ -675,6 +717,12 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         "money-overflow",
         "jobs-sum-overflow",
         "ledger-overflow",
+        "pareto-draw-overflow",
+        "log-normal-draw-underflow",
+        "player-id-comma",
+        "player-id-newline",
+        "job-id-quote",
+        "job-id-carriage-return",
     ],
 )
 def test_cli_every_config_error_exits_2(tmp_path, capsys, snippet, message):
