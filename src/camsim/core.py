@@ -1,25 +1,35 @@
 """Domain types and the efficiency -> energy -> price mappings.
 
 An economy is a set of tables: each player's efficiency at each job, each
-job's intrinsic workload, and a per-round demand matrix. Executing one unit
-of a job costs ``workload / efficiency`` energy units; the lowest price a
-producer can post without losing is that cost times a global money<->energy
-conversion rate.
+job's intrinsic workload, and each (player, job) cell's demand per round.
+Executing one unit of a job costs ``workload / efficiency`` energy units;
+the lowest price a producer can post without losing is that cost times a
+global money<->energy conversion rate.
 
 An ``EconomyConfig`` tabulates its costs once, when it is built: every
 per-unit cost, each job's total demand and the autarky energy. Everything
-else reads that table. The functions here are pure value-level functions:
+else reads that table, and each job's price density is built once, on
+first use. The functions here are pure value-level functions:
 no shared state, safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
+
+from .pricing import PriceDensity, build_price_density
+
+# CSVs print ids unquoted, so an id holds none of these characters.
+ID_RULE = " must not contain a comma, a double quote, CR or LF"
+_ID_SPECIALS = ',"\r\n'
 
 
 def _finite(x: float, positive: bool = False) -> bool:
@@ -75,13 +85,54 @@ class Player:
                 )
 
 
+def csv_safe(text: str) -> bool:
+    """Whether an id can be printed unquoted in a CSV cell (see ``ID_RULE``)."""
+    return not any(c in text for c in _ID_SPECIALS)
+
+
 def _sorted(ids: Sequence[str], what: str) -> tuple[np.ndarray, dict[str, int]]:
-    """The positions of ``ids`` in sorted order, and each id's place in it."""
+    """The positions of ``ids`` in sorted order, and each id's place in it.
+
+    ``what`` is "player" or "job"; the ids must be unique and ``csv_safe``.
+    """
     order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
     place = {ids[k]: r for r, k in enumerate(order.tolist())}
     if len(place) != len(ids):
-        raise ValueError(f"{what} must be unique")
+        raise ValueError(f"{what}_ids must be unique")
+    if not csv_safe("".join(place)):
+        bad = next(x for x in place if not csv_safe(x))
+        raise ValueError(f"{what} id {bad!r}{ID_RULE}")
     return order, place
+
+
+def _count(units: Any) -> bool:
+    """Whether ``units`` is a demand: an integer >= 0, never a bool or a
+    float, as in the YAML rules, so that the records print it exactly."""
+    return isinstance(units, (int, np.integer)) and not isinstance(units, bool) and units >= 0
+
+
+class _Uniform(Mapping):
+    """Read-only demand of ``units`` in every cell of the id maps ``rows``
+    and ``cols``, answered without storing a cell."""
+
+    def __init__(self, units: int, rows: dict[str, int], cols: dict[str, int]):
+        self.units, self._rows, self._cols = units, rows, cols
+
+    def __getitem__(self, cell: tuple[str, str]) -> int:
+        if isinstance(cell, tuple) and len(cell) == 2:
+            if cell[0] in self._rows and cell[1] in self._cols:
+                return self.units
+        raise KeyError(cell)
+
+    def __len__(self) -> int:
+        return len(self._rows) * len(self._cols)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return itertools.product(self._rows, self._cols)
+
+
+# The rows whose products the autarky sum converts to Python floats at a time.
+_SUM_ROWS = 4096
 
 
 @dataclass(eq=False)
@@ -91,20 +142,25 @@ class EconomyConfig:
     ``players`` and ``jobs`` are the ids, in any order; ``efficiencies`` is
     the players x jobs table in that order, ``workloads`` each job's, and
     ``money`` each player's starting balance (None, or a None table, for the
-    market's endowment). ``demand`` maps ``(player_id, job_id)`` to integer
-    units per round; ``conversion`` is the currency-per-energy rate and
-    ``price_quantum`` the smallest price step. ``EconomyConfig.of`` builds
-    one from lists of ``Player`` and ``JobSpec``.
+    market's endowment). ``demand`` is the integer units per round of each
+    ``(player_id, job_id)`` cell: one int for every cell, or a mapping of
+    cells (a cell it leaves out demands nothing). ``conversion`` is the
+    currency-per-energy rate and ``price_quantum`` the smallest price step.
+    Ids must be unique and ``csv_safe``. ``EconomyConfig.of`` builds one
+    from lists of ``Player`` and ``JobSpec``.
 
     Building a config checks every cell, with the messages of ``Player`` and
     ``JobSpec``, keeps the tables as read-only float64 copies, and tabulates
     it once. ``costs`` is the read-only players x jobs array of ``workload /
     efficiency`` (never -0.0), rows and columns in sorted id order, and
-    ``units`` the same table of ``demand`` as floats; ``demand`` keeps the
-    exact integers. ``starting_money`` is ``money`` in that row order, which
-    ``market.MarketState`` keeps its ledgers in, and ``round_bound`` the most
-    one round can move into any ledger, in energy or money. A config never
-    changes: build a changed one with ``dataclasses.replace``.
+    ``units`` the same table of ``demand`` as floats. ``demand`` is then a
+    read-only mapping of the exact integers; an int becomes a view that
+    answers each cell with it, so no cell is stored, and a config built from
+    that view over the same ids reads the int from it. ``starting_money`` is
+    ``money`` in that row order, which ``market.MarketState`` keeps its
+    ledgers in, and ``round_bound`` the most one round can move into any
+    ledger, in energy or money. A config never changes: build a changed one
+    with ``dataclasses.replace``.
     """
 
     players: Sequence[str]
@@ -112,17 +168,20 @@ class EconomyConfig:
     efficiencies: np.ndarray
     workloads: np.ndarray
     money: Sequence[float | None] | None = None
-    demand: dict[tuple[str, str], int] = field(default_factory=dict)
+    demand: int | Mapping[tuple[str, str], int] = field(default_factory=dict)
     conversion: float = 1.0
     price_quantum: float = 0.01
+    # The records that last passed market.conservation_check against this
+    # config, and their sums.
+    _passed: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def of(cls, players: Sequence[Player], jobs: Sequence[JobSpec], **rest: Any) -> EconomyConfig:
         """The config of ``players``, each with an efficiency for every one of
         ``jobs`` and no other; ``rest`` holds the fields from ``demand`` on."""
         ids, job_ids = [p.player_id for p in players], [j.job_id for j in jobs]
-        _sorted(ids, "player_ids")
-        _, known = _sorted(job_ids, "job_ids")
+        _sorted(ids, "player")
+        _, known = _sorted(job_ids, "job")
         for p in players:
             who = f"player {p.player_id!r} has"
             for jid in [*known, *p.efficiencies]:
@@ -136,8 +195,8 @@ class EconomyConfig:
         return cls(ids, job_ids, table.reshape(len(ids), len(jobs)), workloads, money, **rest)
 
     def __post_init__(self) -> None:
-        rows, self._row = _sorted(self.players, "player_ids")
-        cols, self._col = _sorted(self.jobs, "job_ids")
+        rows, self._row = _sorted(self.players, "player")
+        cols, self._col = _sorted(self.jobs, "job")
         self.efficiencies = eff = np.array(self.efficiencies, dtype=float)
         self.workloads = np.array(self.workloads, dtype=float)
         eff.flags.writeable = self.workloads.flags.writeable = False
@@ -162,16 +221,36 @@ class EconomyConfig:
             raise ValueError("conversion must be finite and > 0")
         if not _finite(self.price_quantum, positive=True):
             raise ValueError("price_quantum must be finite and > 0")
-        self._totals = dict.fromkeys(self._col, 0)
-        for (pid, jid), units in self.demand.items():
-            if pid not in self._row:
-                raise ValueError(f"demand references unknown player {pid!r}")
-            if jid not in self._col:
-                raise ValueError(f"demand references unknown job {jid!r}")
-            if units < 0 or units != int(units):
-                raise ValueError(f"demand for {(pid, jid)} must be a nonnegative integer")
-            self._totals[jid] += units
-        self.starting_money = tuple(money[r] for r in rows.tolist())
+        # An int, or the view of one over these ids that dataclasses.replace
+        # passes on, is one count for every cell.
+        uniform = self.demand
+        if (
+            isinstance(uniform, _Uniform)
+            and uniform._rows.keys() == self._row.keys()
+            and uniform._cols.keys() == self._col.keys()
+        ):
+            uniform = uniform.units
+        if isinstance(uniform, Mapping):
+            # One pass checks, totals and places every cell; the units are
+            # converted to floats only past the overflow guard below.
+            demand, at, uniform = dict(uniform), [], None
+            self._totals = dict.fromkeys(self._col, 0)
+            for (pid, jid), units in demand.items():
+                if pid not in self._row:
+                    raise ValueError(f"demand references unknown player {pid!r}")
+                if jid not in self._col:
+                    raise ValueError(f"demand references unknown job {jid!r}")
+                if not _count(units):
+                    raise ValueError(f"demand for {(pid, jid)} must be a nonnegative integer")
+                self._totals[jid] += units
+                at.append(self._row[pid] * m + self._col[jid])
+            self.demand = MappingProxyType(demand)
+        else:
+            if not _count(uniform):
+                raise ValueError("demand must be a nonnegative integer")
+            self._totals = dict.fromkeys(self._col, uniform * n)
+            self.demand = _Uniform(uniform, self._row, self._col)
+        self.starting_money = tuple(map(money.__getitem__, rows.tolist()))
         with np.errstate(over="ignore"):  # a -0.0 workload costs 0.0
             self.costs = self.workloads[cols] / eff[rows[:, None], cols] + 0.0
             highest = self.costs * max(self.conversion, 1.0)
@@ -199,11 +278,27 @@ class EconomyConfig:
                 " summed over the jobs, is not finite"
             )
         # Past the guard every total converts to a float, so every cell does.
-        self.units = np.zeros_like(self.costs)
-        for (pid, jid), units in self.demand.items():
-            self.units[self._row[pid], self._col[jid]] = float(units)
+        if uniform is None:
+            self.units = np.zeros((n, m))
+            np.put(self.units, at, np.array(list(demand.values()), dtype=float))
+        else:
+            self.units = np.full((n, m), float(uniform) if n * m else 0.0)
         self.units.flags.writeable = False
-        self._autarky = math.fsum((self.units * self.costs).ravel().tolist())
+        # fsum is exact, so summing the products a row block at a time adds
+        # them as one list would, without the list.
+        products = (
+            (self.units[r : r + _SUM_ROWS] * self.costs[r : r + _SUM_ROWS]).ravel().tolist()
+            for r in range(0, n, _SUM_ROWS)
+        )
+        self._autarky = math.fsum(itertools.chain.from_iterable(products))
+
+    @functools.cached_property
+    def densities(self) -> list[PriceDensity]:
+        """Each job's density of break-evens, in job_id order, built on first use."""
+        return [
+            build_price_density(self.conversion * self.costs[:, c])
+            for c in range(self.costs.shape[1])
+        ]
 
     def player_ids(self) -> list[str]:
         return list(self._row)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import EconomyConfig, autarky_energy
-from .pricing import build_price_density, optimal_price_arrays
+from .pricing import optimal_price_arrays
 
 DEFAULT_ENDOWMENT = 1e9
 
@@ -118,12 +118,13 @@ def check_ledger_bound(config: EconomyConfig, state: MarketState, rounds: int) -
 def post_offers(config: EconomyConfig) -> list[Offer]:
     """Per job, in job_id order, the first two offers in the order buyers take them.
 
-    Every seller is priced against the density of all the job's break-evens.
-    Its own atom sits at its break-even, where ``optimal_price_arrays``
-    neither posts nor counts a buyer, so the density of the others would give
-    the same price. Of the offers with positive profit, the first two by (price,
-    seller cost, seller id) are kept: a buyer takes the first offer from
-    someone else, which is one of these two.
+    Every seller is priced against the density of all the job's break-evens,
+    ``config.densities``, which ``density.csv`` prints too. Its own atom
+    sits at its break-even, where ``optimal_price_arrays`` neither posts nor
+    counts a buyer, so the density of the others would give the same price.
+    Of the offers with positive profit, the first two by (price, seller
+    cost, seller id) are kept: a buyer takes the first offer from someone
+    else, which is one of these two.
 
     A solution depends only on the break-even's float value, so each job's
     distinct break-evens, the density's atoms, are priced once by one
@@ -137,7 +138,7 @@ def post_offers(config: EconomyConfig) -> list[Offer]:
     for c, jid in enumerate(config.job_ids()):
         costs = config.costs[:, c]
         break_evens = config.conversion * costs
-        density = build_price_density(break_evens)
+        density = config.densities[c]
         price, _, profit = optimal_price_arrays(
             density.prices, density, config.price_quantum
         )
@@ -382,12 +383,6 @@ def execute_round(
     return state, report
 
 
-# The config, trades and self-productions that last passed the per-record
-# checks of conservation_check, and their record sums. The objects are held,
-# so `is` cannot match a freed tuple's recycled id.
-_passed: tuple = (None, None, None, 0.0, 0.0)
-
-
 def conservation_check(report: RoundReport, config: EconomyConfig) -> bool:
     """Runtime assertion of the conservation ledgers for one round.
 
@@ -398,11 +393,11 @@ def conservation_check(report: RoundReport, config: EconomyConfig) -> bool:
     recorded detail must reproduce the ledger totals.
 
     The per-record checks and sums read only the records and the config, so
-    records that are the same tuples as the last to pass, under the same
-    config object, are not checked again; their sums still meet each
-    round's totals.
+    records that are the same tuples as the last to pass under this config
+    object are not checked again; their sums still meet each round's
+    totals. The config keeps those tuples and their sums: the objects are
+    held, so `is` cannot match a freed tuple's recycled id.
     """
-    global _passed
     if report.money_delta_total != 0.0:
         return False
     autarky = autarky_energy(config)
@@ -411,8 +406,8 @@ def conservation_check(report: RoundReport, config: EconomyConfig) -> bool:
         return False
     trades, selfs = report.trades, report.self_productions
     if trades or selfs:
-        last_config, last_trades, last_selfs, expended, saved = _passed
-        if not (config is last_config and trades is last_trades and selfs is last_selfs):
+        last_trades, last_selfs, expended, saved = config._passed or (None, None, 0.0, 0.0)
+        if not (trades is last_trades and selfs is last_selfs):
             for t in trades:
                 if t.price >= config.conversion * t.buyer_self_cost:
                     return False
@@ -422,7 +417,7 @@ def conservation_check(report: RoundReport, config: EconomyConfig) -> bool:
                 [t.units * t.seller_cost for t in trades] + [s.energy for s in selfs]
             )
             saved = math.fsum(t.system_energy_saved for t in trades)
-            _passed = (config, trades, selfs, expended, saved)
+            config._passed = (trades, selfs, expended, saved)
         if abs(expended - report.energy_expended_total) > 1e-9 * max(autarky, 1.0):
             return False
         if abs(saved - report.energy_saved_total) > 1e-9 * max(autarky, 1.0):

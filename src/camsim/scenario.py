@@ -14,8 +14,8 @@ as the round ends, then dropped, and its ledgers, updated in place, are
 copied into a block of wealth rows that is written when it fills. A round
 that repeats the last round's trades reuses their formatted lines. walk.csv
 is simulated and written in blocks of steps; only density.csv is built
-whole. Wealth and walk cells are printed in arrays by an exact fixed-point
-kernel (``_fixed_cells``) that gives the bytes of ``f"{v:.9f}"``.
+whole. Wealth, walk and density cells are printed in arrays by an exact
+fixed-point kernel (``_fixed_cells``) that gives the bytes of ``f"{v:.9f}"``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import yaml
 
 from .analysis import system_savings_series
 from .assignment import optimal_assignment
-from .core import EconomyConfig, JobSpec, Player, autarky_energy
+from .core import ID_RULE, EconomyConfig, JobSpec, Player, autarky_energy, csv_safe
 from .market import (
     DEFAULT_ENDOWMENT,
     MarketState,
@@ -44,7 +44,6 @@ from .market import (
     execute_round,
     post_offers,
 )
-from .pricing import build_price_density
 from .walk import WalkParams, derive_trace_seed, simulate_walk
 
 class ConfigError(Exception):
@@ -197,8 +196,8 @@ def _demand(x: Any) -> int | dict[tuple[str, str], int]:
 def _id(x: Any) -> str:
     """A player or job id. CSVs print ids unquoted: no comma, quote, CR or LF."""
     x = str(x)
-    if any(c in x for c in ',"\r\n'):
-        raise ValueError(" must not contain a comma, a double quote, CR or LF")
+    if not csv_safe(x):
+        raise ValueError(ID_RULE)
     return x
 
 
@@ -314,6 +313,10 @@ def parse_mapping(raw: Any, source: str = "<config>") -> ScenarioConfig:
     return sc
 
 
+# libyaml's parser when PyYAML was built with it; both build the same tree.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str | Path, master_seed: int | None = None) -> ScenarioConfig:
     """Parse and fully validate a scenario file; reports all errors at once.
 
@@ -332,7 +335,7 @@ def load_config(path: str | Path, master_seed: int | None = None) -> ScenarioCon
         seed = _apply(_SEED, master_seed, "--seed: master_seed", errors)
     try:
         with path.open("rb") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_LOADER)
     except yaml.YAMLError as exc:
         message = " ".join(str(exc).split())  # one line, like every other error
         raise ConfigError([f"{path}: not valid YAML: {message}", *errors]) from exc
@@ -366,11 +369,8 @@ def build_economy(sc: ScenarioConfig) -> EconomyConfig:
         ids = [p.player_id for p in sc.players]
     else:
         width = max(4, len(str(sc.population.count)))
-        ids = [f"P{i + 1:0{width}d}" for i in range(sc.population.count)]
-    demand = dict(sc.demand) if isinstance(sc.demand, dict) else {
-        (pid, j.job_id): sc.demand for pid in ids for j in sc.jobs
-    }
-    rest = dict(demand=demand, conversion=sc.conversion, price_quantum=sc.price_quantum)
+        ids = list(map(f"P{{:0{width}d}}".format, range(1, sc.population.count + 1)))
+    rest = dict(demand=sc.demand, conversion=sc.conversion, price_quantum=sc.price_quantum)
     if sc.players is not None:
         return EconomyConfig.of(sc.players, sc.jobs, **rest)
     rng = np.random.default_rng(np.random.SeedSequence(sc.master_seed, spawn_key=(0,)))
@@ -555,13 +555,22 @@ def _savings_lines(
     return [f"{rnd},{autarky:.9f},{expended:.9f},{saved:.9f},{frac:.9f}\n"]
 
 
-def _density_lines(sc: ScenarioConfig, config: EconomyConfig) -> list[str]:
-    lines, pf = [], _price_format(sc)
-    for c, jid in enumerate(config.job_ids()):
-        d = build_price_density(config.conversion * config.costs[:, c])
-        atoms = zip(d.prices.tolist(), d.masses.tolist())
-        lines += [f"{jid},{price:{pf}},{mass}\n" for price, mass in atoms]
-    return lines
+def _density_lines(sc: ScenarioConfig, config: EconomyConfig) -> _Pieces:
+    """density.csv as one text: each job's atoms, from ``config.densities``."""
+    pf, jobs, densities = _price_format(sc), config.job_ids(), config.densities
+    job = np.repeat(np.arange(len(jobs)), [d.prices.size for d in densities])
+    prices = np.concatenate([np.empty(0), *(d.prices for d in densities)])
+    masses = np.concatenate([np.empty(0, np.int64), *(d.masses for d in densities)])
+    cells = _fixed_cells(prices, int(pf[1:-1]))
+    if cells is None:
+        text = "".join(
+            f"{jobs[c]},{price:{pf}},{mass}\n"
+            for c, price, mass in zip(job.tolist(), prices.tolist(), masses.tolist())
+        )
+    else:
+        mass = _fixed_cells(masses.astype(np.float64), 0)
+        text = _csv_text(job.shape, _text_cells(jobs)[job], cells, mass)
+    return _Pieces(job.size, iter([text]))
 
 
 def _walk_text(trace: int, first: int, values: np.ndarray) -> str:

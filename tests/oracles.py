@@ -339,8 +339,8 @@ def execute_round_by_cell(
 def run_scenario_by_cell(sc: ScenarioConfig, out_dir: Path) -> dict[str, Path]:
     """run_scenario's CSVs from the slow references: every seller's offer,
     the per-cell round, and each round's lines built afresh, the trades one
-    line at a time, and every wealth and walk cell by its own f-string.
-    Returns the path of each output written.
+    line at a time, and every wealth, walk and density cell by its own
+    f-string. Returns the path of each output written.
     """
     config = build_economy(sc)
     state = MarketState.from_config(config, sc.initial_money)
@@ -351,6 +351,8 @@ def run_scenario_by_cell(sc: ScenarioConfig, out_dir: Path) -> dict[str, Path]:
         header, build = OUTPUTS[kind]
         if kind == "walk":
             rows = walk_lines(sc)
+        elif kind == "density":
+            rows = density_lines(sc, config)
         else:
             rows = [] if kind in PER_ROUND else build(sc, config)
         texts[kind] = [",".join(header) + "\n", *rows]
@@ -387,4 +389,13 @@ def walk_lines(sc: ScenarioConfig) -> list[str]:
         seed = derive_trace_seed(sc.master_seed, i)
         values = simulate_walk(sc.walk.params, sc.walk.steps, seed).values.tolist()
         lines += [f"{i},{step},{v:.9f}\n" for step, v in enumerate(values)]
+    return lines
+
+
+def density_lines(sc: ScenarioConfig, config: EconomyConfig) -> list[str]:
+    """density.csv's lines, each job's density built afresh and printed a cell at a time."""
+    pf, lines = _price_format(sc), []
+    for c, jid in enumerate(config.job_ids()):
+        density = build_price_density(config.conversion * config.costs[:, c])
+        lines += [f"{jid},{price:{pf}},{mass}\n" for price, mass in atoms(density)]
     return lines

@@ -247,3 +247,41 @@ def test_config_validation(golden):
             players=[Player("P1", {})],
             jobs=[JobSpec("x", 1.0)],
         )
+
+
+@pytest.mark.parametrize("bad", ["P,1", 'P"1', "P\r1", "P\n1"])
+def test_ids_a_csv_cannot_print_are_rejected_as_the_yaml_rule_words_it(bad):
+    """CSVs print ids unquoted, so a config built in code refuses the ids
+    the YAML rule refuses, in the rule's words."""
+    rule = "must not contain a comma, a double quote, CR or LF"
+    with pytest.raises(ValueError, match=re.escape(f"player id {bad!r} {rule}")):
+        EconomyConfig([bad, "P2"], ["x"], np.ones((2, 1)), [1.0])
+    with pytest.raises(ValueError, match=re.escape(f"job id {bad!r} {rule}")):
+        EconomyConfig(["P1"], ["x", bad], np.ones((1, 2)), [1.0, 1.0])
+    with pytest.raises(ValueError, match=re.escape(f"player id {bad!r} {rule}")):
+        EconomyConfig.of([Player(bad, {"x": 1.0})], [JobSpec("x", 1.0)])
+
+
+def test_a_scalar_demand_is_a_read_only_view_through_replace(golden):
+    """A config built from a scalar demand, or replaced from one over the
+    same ids, answers every cell with the int; over other ids the view is
+    read as the mapping it is."""
+    config = dataclasses.replace(golden, demand=2)
+    variant = dataclasses.replace(config, workloads=np.zeros(2), money=None)
+    cells = {(pid, jid): 2 for pid in golden.player_ids() for jid in golden.job_ids()}
+    for built in (config, variant):
+        assert built.demand == cells and len(built.demand) == 6
+        assert built.units.tolist() == [[2.0, 2.0]] * 3
+        assert [built.total_demand(jid) for jid in built.job_ids()] == [6, 6]
+        with pytest.raises(TypeError):
+            built.demand["P1", "x"] = 3
+    with pytest.raises(TypeError):
+        golden.demand["P1", "x"] = 3
+    with pytest.raises(ValueError, match="demand references unknown player 'P1'"):
+        dataclasses.replace(config, players=["Q1", "Q2", "Q3"])
+    for bad in (-1, 1.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="demand must be a nonnegative integer"):
+            dataclasses.replace(golden, demand=bad)
+        with pytest.raises(ValueError, match=r"demand for \('P1', 'x'\) must be a nonneg"):
+            dataclasses.replace(golden, demand={("P1", "x"): bad})
+    assert dataclasses.replace(golden, demand=np.int64(2)).total_demand("x") == 6

@@ -1,5 +1,5 @@
-"""wealth.csv and walk.csv are formatted in blocks of rows by an exact
-fixed-point kernel. These tests hold the kernel to Python's own
+"""wealth.csv, walk.csv and density.csv are formatted in blocks of rows by
+an exact fixed-point kernel. These tests hold the kernel to Python's own
 ``f"{v:.{d}f}"`` and the blocks to the per-cell oracle."""
 
 import os
@@ -117,6 +117,29 @@ def test_cells_out_of_the_exact_range_match_the_oracle(tmp_path):
     assert_same_bytes(paths, run_scenario_by_cell(sc, tmp_path / "oracle"))
     money = [line.split(",")[2] for line in paths["wealth"].read_text().splitlines()[1:]]
     assert all(len(cell.split(".")[1]) == 12 for cell in money)
+
+
+def test_density_out_of_the_exact_range_matches_the_oracle(tmp_path):
+    """Prices at 16 decimals leave the kernel's range, so density.csv
+    prints through the f-string path."""
+    sc = parse_mapping(golden_with("price_quantum: 1.0e-16\nrounds: 1\noutputs: [density]\n"))
+    assert _fixed_cells(np.array([10.0]), 16) is None
+    paths = run_scenario(sc, tmp_path / "run")["paths"]
+    assert_same_bytes(paths, run_scenario_by_cell(sc, tmp_path / "oracle"))
+    assert paths["density"].read_text().splitlines()[1] == "x,5.0000000000000000,1"
+
+
+def test_an_economy_without_jobs_matches_the_oracle(tmp_path):
+    sc = parse_mapping(
+        golden_with(
+            "jobs: []\n"
+            "players: [{player_id: P1, efficiencies: {}}]\n"
+            "outputs: [trades, wealth, savings, density]\n"
+        )
+    )
+    paths = run_scenario(sc, tmp_path / "run")["paths"]
+    assert_same_bytes(paths, run_scenario_by_cell(sc, tmp_path / "oracle"))
+    assert paths["density"].read_text() == "job,price,mass\n"
 
 
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda p: p.stem)

@@ -15,9 +15,12 @@ from camsim import (
     JobSpec,
     MarketState,
     Player,
+    autarky_energy,
+    build_price_density,
     load_config,
     market,
     run_scenario,
+    scenario,
 )
 from camsim.cli import _no_trade_failures, main
 from camsim.scenario import (
@@ -35,6 +38,15 @@ from tests.oracles import run_scenario_by_cell
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = yaml.safe_load((DATA / "golden.yaml").read_text())
+SCENARIO_FILES = [
+    *sorted(DATA.glob("*.yaml")),
+    *sorted((Path(__file__).parents[1] / "bench" / "workloads").glob("*.yaml")),
+]
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+BAD_YAML = {
+    "unclosed-bracket": b"jobs: [unclosed\n",
+    "not-utf8": (DATA / "golden.yaml").read_bytes().replace(b"P3", b"P\xff"),
+}
 
 
 def golden_with(snippet: str) -> dict:
@@ -74,6 +86,30 @@ def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     cfg = tmp_path / "latin1.yaml"
     cfg.write_bytes((DATA / "golden.yaml").read_bytes().replace(b"P3", b"P\xff"))
     out = tmp_path / "out"
+    assert main([str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not valid YAML" in err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.skipif(len(LOADERS) == 1, reason="PyYAML without libyaml")
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_libyaml_and_python_loaders_build_the_same_tree(path):
+    """load_config parses with libyaml when PyYAML has it; every scenario
+    file in the repository loads to the same tree, types included."""
+    assert scenario._LOADER is yaml.CSafeLoader
+    trees = [yaml.load(path.read_bytes(), Loader=loader) for loader in LOADERS]
+    assert repr(trees[0]) == repr(trees[1])
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("text", BAD_YAML.values(), ids=BAD_YAML.keys())
+def test_cli_bad_yaml_exits_2_in_one_line_with_either_loader(
+    tmp_path, capsys, monkeypatch, loader, text
+):
+    monkeypatch.setattr(scenario, "_LOADER", loader)
+    cfg, out = tmp_path / "bad.yaml", tmp_path / "out"
+    cfg.write_bytes(text)
     assert main([str(cfg), "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "not valid YAML" in err
@@ -482,6 +518,106 @@ def test_a_drawn_population_and_its_check_variants_build_no_player(monkeypatch):
     config = build_economy(parse_mapping(golden_with(population)))
     assert config.efficiencies.shape == (50, 2)
     assert _no_trade_failures(config) == []
+
+
+def test_a_scalar_demand_and_its_check_variants_store_no_cells(monkeypatch):
+    """A scalar demand stays one int. Under tracemalloc, a 2,000 x 20
+    config and its two no-trade variants peak at 5.1 MiB; spelling the
+    demand out as its 40,000 cells peaked at 8.4 MiB."""
+    variants = []
+
+    def run_market(config, rounds, **kwargs):
+        variants.append(config)
+        return None, [market.RoundReport(1, (), (), 0, 0, 0.0, 0.0, 0.0, 0.0)]
+
+    monkeypatch.setattr("camsim.cli.run_market", run_market)
+    jobs = ", ".join(f"{{job_id: j{k}, workload: {k + 1}.0}}" for k in range(20))
+    sc = parse_mapping(
+        golden_with(
+            f"jobs: [{jobs}]\n"
+            "population:\n"
+            "  {count: 2000, efficiency_distribution: uniform, params: {low: 0.5, high: 2.0}}\n"
+        )
+    )
+    build_economy(sc)  # warm-up, so that one-off caches do not count
+    tracemalloc.start()
+    try:
+        assert _no_trade_failures(build_economy(sc)) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(variants) == 2
+    assert peak < 6 * 2**20
+
+
+@given(sc=small_scenarios(), units=st.integers(0, 3))
+@example(sc=parse_mapping(ALTERNATING), units=10**30)
+@settings(max_examples=25, deadline=None)
+def test_a_scalar_demand_runs_as_its_cells_spelled_out(sc, units):
+    """An int demand and the mapping of every cell to it build the same
+    tables and offers and write the same bytes; the config's demand is
+    that mapping, exact ints included."""
+    cells = {(p.player_id, j.job_id): units for p in sc.players for j in sc.jobs}
+    scalar = dataclasses.replace(sc, demand=units)
+    spelled = dataclasses.replace(sc, demand=cells)
+    a, b = build_economy(scalar), build_economy(spelled)
+    assert a.units.tobytes() == b.units.tobytes()
+    assert [a.total_demand(j) for j in a.job_ids()] == [b.total_demand(j) for j in b.job_ids()]
+    assert a.round_bound == b.round_bound
+    assert autarky_energy(a).hex() == autarky_energy(b).hex()
+    assert market.post_offers(a) == market.post_offers(b)
+    assert a.demand == cells and len(a.demand) == len(cells)
+    assert sorted(a.demand.items()) == sorted(cells.items())
+    assert all(cell in a.demand and a.demand[cell] == u for cell, u in cells.items())
+    for unknown in [("ghost", sc.jobs[0].job_id), (sc.players[0].player_id, "ghost"), "P0"]:
+        assert unknown not in a.demand
+        with pytest.raises(KeyError):
+            a.demand[unknown]
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_same_bytes(
+            run_scenario(scalar, Path(tmp) / "scalar")["paths"],
+            run_scenario(spelled, Path(tmp) / "spelled")["paths"],
+        )
+
+
+def test_each_job_density_is_built_once_per_config(tmp_path, monkeypatch):
+    """post_offers and density.csv share each job's density, and
+    export_csv gets density.csv as one text whose len() is its lines."""
+    built, rows = [], []
+
+    def counted(costs):
+        built.append(len(costs))
+        return build_price_density(costs)
+
+    def export(lines, header, path):
+        rows.append(len(lines))
+        return export_csv(lines, header, path)
+
+    monkeypatch.setattr("camsim.core.build_price_density", counted)
+    monkeypatch.setattr("camsim.scenario.export_csv", export)
+    sc = parse_mapping(ALTERNATING)
+    result = run_scenario(dataclasses.replace(sc, outputs=["density", "savings"]), tmp_path)
+    assert built == [3, 3, 3]
+    assert rows == [len(result["paths"]["density"].read_text().splitlines()) - 1]
+    assert _no_trade_failures(result["config"]) == []  # two configs more
+    assert built == [3] * 9
+
+
+def test_run_scenario_rejects_an_id_a_csv_cannot_print(tmp_path):
+    """A scenario built in code skips the YAML id rule; the config still
+    refuses the id, before any CSV is written."""
+    sc = ScenarioConfig(
+        jobs=[JobSpec("x", 10.0), JobSpec("y", 10.0)],
+        conversion=1.0,
+        price_quantum=0.01,
+        rounds=1,
+        master_seed=0,
+        outputs=["trades", "wealth", "savings", "density"],
+        players=[Player("P,1", {"x": 2.0, "y": 1.0}), Player("P2", {"x": 1.0, "y": 2.0})],
+    )
+    with pytest.raises(ConfigError, match="player id 'P,1' must not contain a comma"):
+        run_scenario(sc, tmp_path / "out")
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize(
