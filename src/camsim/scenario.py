@@ -14,8 +14,10 @@ as the round ends, then dropped, and its ledgers, updated in place, are
 copied into a block of wealth rows that is written when it fills. A round
 that repeats the last round's trades reuses their formatted lines. walk.csv
 is simulated and written in blocks of steps; only density.csv is built
-whole. Wealth, walk and density cells are printed in arrays by an exact
-fixed-point kernel (``_fixed_cells``) that gives the bytes of ``f"{v:.9f}"``.
+whole. Wealth, walk and density lines are printed a block at a time by one
+writer, ``_lines``: through an exact fixed-point kernel (``_fixed_cells``)
+that gives the bytes of ``f"{v:.{d}f}"``, or, for a block with a cell out
+of the kernel's range, wholly by those f-strings.
 """
 
 from __future__ import annotations
@@ -383,19 +385,20 @@ def build_economy(sc: ScenarioConfig) -> EconomyConfig:
 def export_csv(rows: Iterable[str], header: Sequence[str], path: str | Path) -> Path:
     """Write the header, then ``rows``: finished CSV text, each piece ending in ``"\\n"``.
 
-    The file is UTF-8 with LF endings, whatever the locale. The builders
-    format every cell, without the locale, so that each output type keeps
-    its own column precision.
+    The file is UTF-8 with LF endings, whatever the locale. The caller
+    formats every cell, without the locale, at its column's precision.
     """
     path = Path(path)
-    with _writing(path), _open(path) as fh:
-        fh.write(",".join(header) + "\n")
+    with _writing(path), _open(path, header) as fh:
         fh.writelines(rows)
     return path
 
 
-def _open(path: Path) -> TextIO:
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _open(path: Path, header: Sequence[str]) -> TextIO:
+    """A new CSV file, UTF-8 with LF endings, holding its header line."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    fh.write(",".join(header) + "\n")
+    return fh
 
 
 @contextmanager
@@ -515,75 +518,64 @@ def _csv_text(shape: tuple[int, ...], *fields: np.ndarray) -> str:
     return str(flat[flat != _PAD], "utf-8")
 
 
-def _price_format(sc: ScenarioConfig) -> str:
-    """Prices print at the price quantum's decimals: 0.01 gives '.2f'."""
-    exponent = decimal.Decimal(repr(sc.price_quantum)).normalize().as_tuple().exponent
-    return f".{max(0, -int(exponent))}f"
+# A field of a block of CSV lines: the _text_cells of some texts, or
+# (values, d), numbers that print as f"{v:.{d}f}" of a float.
+Field = np.ndarray | tuple[Any, int]
 
 
-def _trade_lines(pf: str, trades: tuple[TradeRecord, ...]) -> list[str]:
+def _lines(shape: tuple[int, ...], *fields: Field) -> str:
+    """One CSV line per index of ``shape``, in row-major order: each field's
+    cells broadcast to ``shape``. The block prints through ``_fixed_cells``,
+    or, when some cell is out of its exact range, wholly by f-strings; both
+    give the same bytes."""
+    cells = [f if isinstance(f, np.ndarray) else _fixed_cells(*f) for f in fields]
+    if all(c is not None for c in cells):
+        return _csv_text(shape, *cells)
+    columns = []
+    for f in fields:
+        if isinstance(f, np.ndarray):
+            at = f.shape[:-1]
+            texts = [bytes(c[c != _PAD]).decode() for c in f.reshape(math.prod(at), f.shape[-1])]
+        else:
+            values, d = np.asarray(f[0], np.float64), f[1]
+            at, texts = values.shape, [f"{v:.{d}f}" for v in values.ravel().tolist()]
+        column = np.array(texts, dtype=object).reshape(at)
+        columns.append(np.broadcast_to(column, shape).ravel().tolist())
+    return "".join(",".join(row) + "\n" for row in zip(*columns))
+
+
+def _price_decimals(quantum: float) -> int:
+    """Prices print at the price quantum's decimals: 0.01 gives 2."""
+    exponent = decimal.Decimal(repr(quantum)).normalize().as_tuple().exponent
+    return max(0, -int(exponent))
+
+
+def _trade_lines(d: int, trades: tuple[TradeRecord, ...]) -> list[str]:
+    """One round's trades.csv lines, without the round and the newline."""
     return [
-        f"{t.buyer},{t.seller},{t.job},{t.units},{t.price:{pf}},"
+        f"{t.buyer},{t.seller},{t.job},{t.units},{t.price:.{d}f},"
         f"{t.buyer_self_cost:.9f},{t.seller_cost:.9f},{t.system_energy_saved:.9f}"
         for t in trades
     ]
 
 
-def _wealth_text(pf: str, ids: np.ndarray, first: int, ledgers: np.ndarray) -> str:
-    """The wealth.csv lines of rounds ``first``, ``first + 1``, ...:
-    ``ledgers[k]`` holds the money, energy_spent and energy_saved rows of
-    round ``first + k``, and ``ids`` the player ids' ``_text_cells``."""
-    rounds, _, n = ledgers.shape
-    money = _fixed_cells(ledgers[:, 0], int(pf[1:-1]))
-    energy = _fixed_cells(ledgers[:, 1:], 9)
-    if money is None or energy is None:
-        names = [bytes(row[row != _PAD]).decode() for row in ids]
-        return "".join(
-            f"{first + k},{pid},{cash:{pf}},{spent:.9f},{saved:.9f}\n"
-            for k, rows in enumerate(ledgers.tolist())
-            for pid, cash, spent, saved in zip(names, *rows)
-        )
-    number = _fixed_cells(np.arange(first, first + rounds, dtype=np.float64), 0)
-    return _csv_text((rounds, n), number[:, None], ids, money, energy[:, 0], energy[:, 1])
-
-
-def _savings_lines(
-    pf: str, config: EconomyConfig, state: MarketState, report: RoundReport
-) -> list[str]:
+def _savings_line(report: RoundReport) -> str:
     [(rnd, saved, frac)] = system_savings_series([report])
     autarky, expended = report.autarky_energy, report.energy_expended_total
-    return [f"{rnd},{autarky:.9f},{expended:.9f},{saved:.9f},{frac:.9f}\n"]
+    return f"{rnd},{autarky:.9f},{expended:.9f},{saved:.9f},{frac:.9f}\n"
 
 
-def _density_lines(sc: ScenarioConfig, config: EconomyConfig) -> _Pieces:
+def _density_lines(config: EconomyConfig, d: int) -> _Pieces:
     """density.csv as one text: each job's atoms, from ``config.densities``."""
-    pf, jobs, densities = _price_format(sc), config.job_ids(), config.densities
-    job = np.repeat(np.arange(len(jobs)), [d.prices.size for d in densities])
-    prices = np.concatenate([np.empty(0), *(d.prices for d in densities)])
-    masses = np.concatenate([np.empty(0, np.int64), *(d.masses for d in densities)])
-    cells = _fixed_cells(prices, int(pf[1:-1]))
-    if cells is None:
-        text = "".join(
-            f"{jobs[c]},{price:{pf}},{mass}\n"
-            for c, price, mass in zip(job.tolist(), prices.tolist(), masses.tolist())
-        )
-    else:
-        mass = _fixed_cells(masses.astype(np.float64), 0)
-        text = _csv_text(job.shape, _text_cells(jobs)[job], cells, mass)
+    jobs, densities = config.job_ids(), config.densities
+    job = np.repeat(np.arange(len(jobs)), [x.prices.size for x in densities])
+    prices = np.concatenate([np.empty(0), *(x.prices for x in densities)])
+    masses = np.concatenate([np.empty(0, np.int64), *(x.masses for x in densities)])
+    text = _lines(job.shape, _text_cells(jobs)[job], (prices, d), (masses, 0))
     return _Pieces(job.size, iter([text]))
 
 
-def _walk_text(trace: int, first: int, values: np.ndarray) -> str:
-    """The walk.csv lines of one trace's steps ``first``, ``first + 1``, ..."""
-    cells = _fixed_cells(values, 9)
-    if cells is None:
-        return "".join(f"{trace},{first + s},{v:.9f}\n" for s, v in enumerate(values.tolist()))
-    steps = np.arange(first, first + len(values), dtype=np.float64)
-    number = _fixed_cells(np.array([trace], dtype=np.float64), 0)
-    return _csv_text((len(values),), number, _fixed_cells(steps, 0), cells)
-
-
-def _walk_lines(sc: ScenarioConfig, config: EconomyConfig) -> _Pieces:
+def _walk_lines(sc: ScenarioConfig) -> _Pieces:
     """walk.csv in blocks of ``_BLOCK_ROWS`` steps, each simulated as it is
     written: a trace's blocks draw from one generator, and each starts from
     the last value of the one before, so they are the trace drawn whole."""
@@ -591,54 +583,38 @@ def _walk_lines(sc: ScenarioConfig, config: EconomyConfig) -> _Pieces:
 
     def blocks() -> Iterator[str]:
         for i in range(walk.traces):
+            trace = _text_cells([str(i)])
             seed = np.random.SeedSequence(derive_trace_seed(sc.master_seed, i))
             rng, last = np.random.default_rng(seed), None
             for first in range(0, walk.steps, _BLOCK_ROWS):
                 steps = min(_BLOCK_ROWS, walk.steps - first)
                 values = simulate_walk(walk.params, steps, rng, start=last).values
                 last = float(values[-1])
-                yield _walk_text(i, first, values)
+                yield _lines((steps,), trace, (np.arange(first, first + steps), 0), (values, 9))
 
     return _Pieces(walk.traces * -(-walk.steps // _BLOCK_ROWS), blocks())
 
 
-# Each output kind's CSV header and builder; a selected kind is written to
-# <kind>.csv. A builder gives finished CSV text, energies at 9 decimals and
-# prices at the price quantum's decimals, without the locale. The trades
-# builder takes the run's price format and one round's trade records, and
-# gives their lines without the round and the newline. The wealth builder
-# takes the price format, the player ids and a block of rounds' ledgers
-# (see _wealth_text), and gives their text. The savings builder takes the
-# price format and one round's (config, state, report) and gives its line.
-# The rest take (sc, config) and give the whole file.
-OUTPUTS = {
+# Each output kind's CSV header; a selected kind is written to <kind>.csv.
+# Energies print at 9 decimals and prices at the price quantum's decimals.
+HEADERS = {
     "trades": (
-        (
-            "round",
-            "buyer",
-            "seller",
-            "job",
-            "units",
-            "price",
-            "buyer_self_cost",
-            "seller_cost",
-            "system_energy_saved",
-        ),
-        _trade_lines,
+        "round",
+        "buyer",
+        "seller",
+        "job",
+        "units",
+        "price",
+        "buyer_self_cost",
+        "seller_cost",
+        "system_energy_saved",
     ),
-    "wealth": (
-        ("round", "player", "money", "energy_spent", "energy_saved"),
-        _wealth_text,
-    ),
-    "savings": (
-        ("round", "autarky_energy", "energy_expended", "energy_saved", "saved_fraction"),
-        _savings_lines,
-    ),
-    "density": (("job", "price", "mass"), _density_lines),
-    "walk": (("trace", "step", "value"), _walk_lines),
+    "wealth": ("round", "player", "money", "energy_spent", "energy_saved"),
+    "savings": ("round", "autarky_energy", "energy_expended", "energy_saved", "saved_fraction"),
+    "density": ("job", "price", "mass"),
+    "walk": ("trace", "step", "value"),
 }
-OUTPUT_KINDS = tuple(OUTPUTS)
-PER_ROUND = ("trades", "wealth", "savings")
+OUTPUT_KINDS = tuple(HEADERS)
 
 
 def run_scenario(
@@ -660,64 +636,71 @@ def run_scenario(
     trades over all rounds (``n_trades``), and the per-round energy of the
     optimal assignment and of autarky. Equal (config, seed) give
     byte-identical outputs. An economy the config cannot describe, such as
-    a player without an efficiency for some job, or one whose ledgers could
-    overflow a float within the rounds, raises ConfigError.
+    a player without an efficiency for some job, jobs without players, or
+    one whose ledgers could overflow a float within the rounds, raises
+    ConfigError before any file is written.
     """
     try:
         config = build_economy(sc)
         state = MarketState.from_config(config, sc.initial_money)
         check_ledger_bound(config, state, sc.rounds)
+        _, assignment_energy = optimal_assignment(config)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, assignment_energy = optimal_assignment(config)
     autarky = autarky_energy(config)
 
-    paths = {kind: out_dir / f"{kind}.csv" for kind in OUTPUTS if kind in sc.outputs}
+    paths = {kind: out_dir / f"{kind}.csv" for kind in HEADERS if kind in sc.outputs}
     offers = post_offers(config)
-    pf = _price_format(sc)
+    d = _price_decimals(sc.price_quantum)
     n_trades = 0
     ids = _text_cells(config.player_ids())
-    block = np.empty((min(sc.rounds, max(1, _BLOCK_ROWS // len(ids))), 3, len(ids)))
+    block = np.empty((min(sc.rounds, max(1, _BLOCK_ROWS // (len(ids) or 1))), 3, len(ids)))
     with ExitStack() as files:
-        sinks = []
+        sinks = {}
         for kind, path in paths.items():
-            header, build = OUTPUTS[kind]
-            if kind not in PER_ROUND:
-                export_csv(build(sc, config), header, path)
-                continue
-            with _writing(path):
-                fh = files.enter_context(_open(path))
-                fh.write(",".join(header) + "\n")
-            sinks.append((path, fh, build))
+            if kind == "density":
+                export_csv(_density_lines(config, d), HEADERS[kind], path)
+            elif kind == "walk":
+                export_csv(_walk_lines(sc), HEADERS[kind], path)
+            else:
+                with _writing(path):
+                    sinks[kind] = files.enter_context(_open(path, HEADERS[kind]))
+
+        def write(kind: str, text: str) -> None:
+            with _writing(paths[kind]):
+                sinks[kind].write(text)
+
         # The trades last formatted, and their lines. A round whose report
         # holds that same tuple repeats its trades (see execute_round). The
         # tuple is held, so `is` cannot match a freed tuple's recycled id.
         last, body = None, []
         for n in range(sc.rounds):
             state, report = execute_round(
-                config, state, offers=offers, record_detail="trades" in paths
+                config, state, offers=offers, record_detail="trades" in sinks
             )
             n_trades += report.n_trades
             if observe is not None:
                 observe(report, config)
-            for path, fh, build in sinks:
-                with _writing(path):
-                    if build is _wealth_text:
-                        k = n % len(block) + 1
-                        block[k - 1] = state.money, state.energy_spent, state.energy_saved
-                        if k == len(block) or n + 1 == sc.rounds:
-                            fh.write(build(pf, ids, state.round - k + 1, block[:k]))
-                    elif build is _trade_lines:
-                        if report.trades is not last:
-                            last, body = report.trades, build(pf, report.trades)
-                        r = report.round
-                        fh.write(f"{r}," + f"\n{r},".join(body) + "\n" if body else "")
-                    else:
-                        fh.writelines(build(pf, config, state, report))
-        for path, fh, _ in sinks:
-            with _writing(path):
+            if "trades" in sinks:
+                if report.trades is not last:
+                    last, body = report.trades, _trade_lines(d, report.trades)
+                r = report.round
+                write("trades", f"{r}," + f"\n{r},".join(body) + "\n" if body else "")
+            if "wealth" in sinks:
+                k = n % len(block) + 1
+                block[k - 1] = state.money, state.energy_spent, state.energy_saved
+                if k == len(block) or n + 1 == sc.rounds:
+                    money, spent, saved = block[:k].transpose(1, 0, 2)
+                    first = state.round - k + 1
+                    rounds = _text_cells([str(r) for r in range(first, first + k)])
+                    fields = rounds[:, None], ids, (money, d), (spent, 9), (saved, 9)
+                    write("wealth", _lines((k, len(ids)), *fields))
+            if "savings" in sinks:
+                write("savings", _savings_line(report))
+        for kind, fh in sinks.items():
+            with _writing(paths[kind]):
                 fh.close()
     return {
         "paths": paths,

@@ -29,10 +29,10 @@ from camsim import (
 )
 from camsim.market import SelfProduction
 from camsim.scenario import (
-    OUTPUTS,
-    PER_ROUND,
+    HEADERS,
     ScenarioConfig,
-    _price_format,
+    _price_decimals,
+    _savings_line,
     _trade_lines,
     build_economy,
 )
@@ -345,26 +345,25 @@ def run_scenario_by_cell(sc: ScenarioConfig, out_dir: Path) -> dict[str, Path]:
     config = build_economy(sc)
     state = MarketState.from_config(config, sc.initial_money)
     offers = ranked_offers(config)
-    pf = _price_format(sc)
+    d = _price_decimals(sc.price_quantum)
     texts = {}
     for kind in sc.outputs:
-        header, build = OUTPUTS[kind]
         if kind == "walk":
             rows = walk_lines(sc)
         elif kind == "density":
             rows = density_lines(sc, config)
         else:
-            rows = [] if kind in PER_ROUND else build(sc, config)
-        texts[kind] = [",".join(header) + "\n", *rows]
+            rows = []
+        texts[kind] = [",".join(HEADERS[kind]) + "\n", *rows]
     for _ in range(sc.rounds):
         state, report = execute_round_by_cell(config, state, offers)
         for kind, lines in texts.items():
             if kind == "trades":
-                lines += [f"{report.round},{t}\n" for t in _trade_lines(pf, report.trades)]
+                lines += [f"{report.round},{t}\n" for t in _trade_lines(d, report.trades)]
             elif kind == "wealth":
-                lines += wealth_lines(pf, config, state)
+                lines += wealth_lines(d, config, state)
             elif kind == "savings":
-                lines += OUTPUTS[kind][1](pf, config, state, report)
+                lines.append(_savings_line(report))
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
     for kind, lines in texts.items():
@@ -373,11 +372,11 @@ def run_scenario_by_cell(sc: ScenarioConfig, out_dir: Path) -> dict[str, Path]:
     return paths
 
 
-def wealth_lines(pf: str, config: EconomyConfig, state: MarketState) -> list[str]:
+def wealth_lines(d: int, config: EconomyConfig, state: MarketState) -> list[str]:
     """One round's wealth.csv lines, a cell at a time."""
     ledgers = (a.tolist() for a in (state.money, state.energy_spent, state.energy_saved))
     return [
-        f"{state.round},{pid},{money:{pf}},{spent:.9f},{saved:.9f}\n"
+        f"{state.round},{pid},{money:.{d}f},{spent:.9f},{saved:.9f}\n"
         for pid, money, spent, saved in zip(config.player_ids(), *ledgers)
     ]
 
@@ -394,8 +393,8 @@ def walk_lines(sc: ScenarioConfig) -> list[str]:
 
 def density_lines(sc: ScenarioConfig, config: EconomyConfig) -> list[str]:
     """density.csv's lines, each job's density built afresh and printed a cell at a time."""
-    pf, lines = _price_format(sc), []
+    d, lines = _price_decimals(sc.price_quantum), []
     for c, jid in enumerate(config.job_ids()):
         density = build_price_density(config.conversion * config.costs[:, c])
-        lines += [f"{jid},{price:{pf}},{mass}\n" for price, mass in atoms(density)]
+        lines += [f"{jid},{price:.{d}f},{mass}\n" for price, mass in atoms(density)]
     return lines

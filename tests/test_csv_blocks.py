@@ -153,6 +153,24 @@ def test_bench_workloads_shortened_match_the_per_cell_oracle(tmp_path, workload)
     assert_same_bytes(paths, run_scenario_by_cell(sc, tmp_path / "oracle"))
 
 
+@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda p: p.stem)
+def test_the_f_string_fallback_writes_the_kernel_bytes(tmp_path, monkeypatch, workload):
+    """With the kernel refusing every block, wealth, walk and density print
+    through the one f-string fallback, the step and mass columns as ``.0f``
+    of a float, and all five outputs keep the kernel's bytes and the
+    oracle's."""
+    raw = yaml.safe_load(workload.read_bytes())
+    raw["rounds"] = 30
+    raw["outputs"] = list(scenario.OUTPUT_KINDS)
+    raw["walk"] = {**raw.get("walk", {"true_price": 1.0, "eta": 0.5, "sigma": 0.1}), "steps": 3000}
+    sc = parse_mapping(raw)
+    kernel = run_scenario(sc, tmp_path / "kernel")["paths"]
+    monkeypatch.setattr(scenario, "_fixed_cells", lambda values, d: None)
+    fallback = run_scenario(sc, tmp_path / "fallback")["paths"]
+    assert_same_bytes(fallback, kernel)
+    assert_same_bytes(fallback, run_scenario_by_cell(sc, tmp_path / "oracle"))
+
+
 def test_walk_memory_does_not_grow_with_steps(tmp_path):
     """walk.csv is simulated and written a block at a time, so ten times the
     steps may not take ten times the memory."""

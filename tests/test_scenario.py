@@ -24,8 +24,8 @@ from camsim import (
 )
 from camsim.cli import _no_trade_failures, main
 from camsim.scenario import (
+    HEADERS,
     OUTPUT_KINDS,
-    OUTPUTS,
     ScenarioConfig,
     WalkRun,
     artifact_digests,
@@ -392,7 +392,7 @@ def test_export_csv_shapes(tmp_path):
 
 
 def test_every_csv_line_ends_and_fits_its_header(tmp_path):
-    """Each builder's lines end in a newline and have one field per column."""
+    """Each output's lines end in a newline and have one field per column."""
     sc = parse_mapping(
         golden_with(
             "outputs: [trades, wealth, savings, density, walk]\n"
@@ -400,9 +400,9 @@ def test_every_csv_line_ends_and_fits_its_header(tmp_path):
         )
     )
     paths = run_scenario(sc, tmp_path)["paths"]
-    assert sorted(paths) == sorted(OUTPUTS)
+    assert sorted(paths) == sorted(HEADERS)
     for kind, path in paths.items():
-        header, _ = OUTPUTS[kind]
+        header = HEADERS[kind]
         lines = path.read_bytes().decode().split("\n")
         assert lines.pop() == "", kind  # the last line ends in a newline too
         assert lines[0] == ",".join(header)
@@ -601,6 +601,41 @@ def test_each_job_density_is_built_once_per_config(tmp_path, monkeypatch):
     assert rows == [len(result["paths"]["density"].read_text().splitlines()) - 1]
     assert _no_trade_failures(result["config"]) == []  # two configs more
     assert built == [3] * 9
+
+
+def no_players(jobs: list[JobSpec], outputs: list[str]) -> ScenarioConfig:
+    return ScenarioConfig(
+        jobs=jobs,
+        conversion=1.0,
+        price_quantum=0.01,
+        rounds=3,
+        master_seed=0,
+        outputs=outputs,
+        players=[],
+    )
+
+
+@pytest.mark.parametrize(
+    "outputs", [["wealth"], ["savings"], [], ["trades", "wealth", "savings", "density"]]
+)
+def test_an_economy_without_players_or_jobs_writes_its_headers(tmp_path, outputs):
+    """trades, wealth and density hold their headers alone; savings, as in
+    any economy without jobs, one line of zeros per round."""
+    sc = no_players([], outputs)
+    paths = run_scenario(sc, tmp_path / "run")["paths"]
+    assert_same_bytes(paths, run_scenario_by_cell(sc, tmp_path / "oracle"))
+    for kind, path in paths.items():
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(HEADERS[kind])
+        zeros = [f"{r}" + ",0.000000000" * 4 for r in range(1, sc.rounds + 1)]
+        assert lines[1:] == (zeros if kind == "savings" else []), kind
+
+
+def test_jobs_without_players_is_a_config_error_before_any_output(tmp_path):
+    sc = no_players([JobSpec("x", 10.0)], ["trades", "wealth", "savings", "density"])
+    with pytest.raises(ConfigError, match="^economy has no players$"):
+        run_scenario(sc, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_scenario_rejects_an_id_a_csv_cannot_print(tmp_path):
@@ -927,9 +962,7 @@ def test_readme_csv_table_matches_outputs():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     table = readme.split("### CSV artifacts")[1].split("\n## ")[0]
     rows = re.findall(r"^\| `(\w+)\.csv` \| (.+) \|$", table, re.MULTILINE)
-    assert {kind: tuple(columns.split(", ")) for kind, columns in rows} == {
-        kind: header for kind, (header, _) in OUTPUTS.items()
-    }
+    assert {kind: tuple(columns.split(", ")) for kind, columns in rows} == HEADERS
 
 
 def test_cli_seed_override_changes_generated_population(tmp_path):

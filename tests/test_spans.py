@@ -74,19 +74,25 @@ def test_replay_call_binds_to_execute_round(golden):
 
 def test_layer_metrics_read_a_checked_run(tmp_path):
     """Trace ``camsim golden.yaml --check`` as bench/child.py does and read
-    every layer metric: once with trade detail, and once with only
-    ``wealth`` and ``savings``, so that the trading pairs come from the
-    replay. A config attribute or report field the metrics read, gone from
-    ``src/``, fails here rather than only under ``--trace 1``."""
+    every layer metric: once with trade detail, once with only ``wealth``
+    and ``savings``, so that the trading pairs come from the replay, and
+    once with a walk, whose blocks ``export_csv`` counts as rows. A config
+    attribute or report field the metrics read, gone from ``src/``, fails
+    here rather than only under ``--trace 1``."""
     golden = DATA / "golden.yaml"
+    outputs = "outputs: [trades, wealth, savings, density]"
     replay = tmp_path / "replay.yaml"
-    replay.write_text(
+    replay.write_text(golden.read_text().replace(outputs, "outputs: [wealth, savings]"))
+    walk = tmp_path / "walk.yaml"
+    walk.write_text(
         golden.read_text().replace(
-            "outputs: [trades, wealth, savings, density]", "outputs: [wealth, savings]"
+            outputs,
+            "outputs: [trades, wealth, savings, density, walk]\n"
+            "walk: {true_price: 1.0, eta: 0.5, sigma: 0.1, steps: 5000, traces: 2}",
         )
     )
     runs = []
-    for config in (golden, replay):
+    for config in (golden, replay, walk):
         tracer = SPANS_MODULE.Tracer()
         tracer.install()
         try:
@@ -96,9 +102,13 @@ def test_layer_metrics_read_a_checked_run(tmp_path):
             runs.append(tracer.layer_metrics())
         finally:
             tracer.uninstall()
-    detail, replayed = runs
-    assert replayed.keys() == detail.keys()
-    assert all(math.isfinite(v) for v in [*detail.values(), *replayed.values()])
+    detail, replayed, walked = runs
+    assert replayed.keys() == detail.keys() == walked.keys()
+    assert all(math.isfinite(v) for run in runs for v in run.values())
     for name in ("pricing.offers_posted", "pricing.atoms", "market.trades"):
         assert replayed[name] == detail[name]
     assert detail["pricing.offer_win_ratio"] == replayed["pricing.offer_win_ratio"] > 0
+    assert walked["walk.steps"] == 2 * 5000
+    # Each trace's 5,000 steps are written in three blocks.
+    assert walked["scenario.csv_rows"] == detail["scenario.csv_rows"] + 2 * 3
+    assert walked["scenario.csv_bytes"] > detail["scenario.csv_bytes"] > 0
