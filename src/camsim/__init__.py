@@ -6,10 +6,10 @@ package provides energy-cost accounting, globally energy-minimizing job
 assignment, price-density pricing, a round-based market with zero-sum
 ledgers, wealth-distribution analysis, and a mean-reverting model of
 noisy price estimation. Checks that only the tests use (assignment net
-energy and stationarity, vectorized buyer counts, density mass and
-largest atom, the no-trade witness, pricing by a per-candidate scan and
-as solution records, every seller's offer, the round as a loop over the
-cells) live in ``tests/oracles.py``.
+energy, stationarity and brute force, vectorized buyer counts, density
+mass and largest atom, the no-trade witness, pricing by a per-candidate
+scan and as solution records, every seller's offer, the round as a loop
+over the cells) live in ``tests/oracles.py``.
 """
 
 from .analysis import (
@@ -18,7 +18,7 @@ from .analysis import (
     pareto_tail_fit,
     system_savings_series,
 )
-from .assignment import brute_force_min_assignment, optimal_assignment
+from .assignment import optimal_assignment
 from .core import EconomyConfig, JobSpec, Player, autarky_energy, break_even_price
 from .market import (
     MarketState,

@@ -7,17 +7,14 @@ per-unit cost.
 
 That sum separates per job, so the exact optimum gives each job to its
 cheapest producer: the row-wise argmin of ``cost_matrix``, ties to the
-lowest player_id. ``brute_force_min_assignment`` enumerates all
-``players ** jobs`` candidates under ``ENUMERATION_CAP``. It is the oracle
-the per-job solver is tested against, and it stays in the package because
-the benchmark reads the cap. The checks that only tests use (the net
-energy of an arbitrary assignment, single-move stationarity) live in
-``tests/oracles.py``.
+lowest player_id. The checks that only tests use (the net energy of an
+arbitrary assignment, single-move stationarity, and the oracle that
+enumerates all ``players ** jobs`` candidates under ``ENUMERATION_CAP``)
+live in ``tests/oracles.py``; the cap stays here because the benchmark
+reads it.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -34,34 +31,6 @@ def cost_matrix(config: EconomyConfig) -> np.ndarray:
     """
     totals = [float(config.total_demand(jid)) for jid in config.job_ids()]
     return np.array(totals)[:, None] * config.costs.T
-
-
-def brute_force_min_assignment(
-    config: EconomyConfig, cap: int = ENUMERATION_CAP
-) -> tuple[dict[str, str], float]:
-    """Exhaustively enumerate every producer choice per job; exact oracle.
-
-    Raises ValueError when players**jobs exceeds ``cap``.
-    """
-    jobs = config.job_ids()
-    players = config.player_ids()
-    if not jobs:
-        return {}, 0.0
-    if not players:
-        raise ValueError("economy has no players")
-    n_candidates = len(players) ** len(jobs)
-    if n_candidates > cap:
-        raise ValueError(
-            f"{len(players)}^{len(jobs)} = {n_candidates} candidates exceeds cap {cap}"
-        )
-    rows = cost_matrix(config)
-    # Chained outer sums build the full players**jobs energy tensor; argmin's
-    # first-occurrence rule is exactly the lexicographic (job, player) tie-break.
-    total = functools.reduce(np.add.outer, rows)
-    flat = int(np.argmin(total))
-    choice = np.unravel_index(flat, total.shape)
-    best = {jid: players[c] for jid, c in zip(jobs, choice)}
-    return best, float(total.reshape(-1)[flat])
 
 
 def optimal_assignment(config: EconomyConfig) -> tuple[dict[str, str], float]:

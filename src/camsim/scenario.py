@@ -14,10 +14,11 @@ as the round ends, then dropped, and its ledgers, updated in place, are
 copied into a block of wealth rows that is written when it fills. A round
 that repeats the last round's trades reuses their formatted lines. walk.csv
 is simulated and written in blocks of steps; only density.csv is built
-whole. Wealth, walk and density lines are printed a block at a time by one
-writer, ``_lines``: through an exact fixed-point kernel (``_fixed_cells``)
-that gives the bytes of ``f"{v:.{d}f}"``, or, for a block with a cell out
-of the kernel's range, wholly by those f-strings.
+whole. Every number is printed as ``f"{v:.{d}f}"``. Wealth, walk and
+density lines are assembled a block at a time by one writer, ``_lines``,
+whose number fields go through a fixed-point kernel (``_fixed_cells``)
+where rounding in floats is exact, take Python's digits for half-way
+cells, and print by f-strings, field by field, where the kernel refuses.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .market import (
 from .walk import WalkParams, derive_trace_seed, simulate_walk
 
 class ConfigError(Exception):
-    """Carries every validation problem found in a scenario file."""
+    """Carries every validation problem found in a scenario."""
 
     def __init__(self, errors: list[str]):
         self.errors = errors
@@ -83,6 +84,19 @@ class ScenarioConfig:
     demand: int | dict[tuple[str, str], int] = 1
     initial_money: float = DEFAULT_ENDOWMENT
     walk: WalkRun | None = None
+
+    def __post_init__(self) -> None:
+        """Hold a config built in code to the YAML's rules between fields.
+        Each problem is worded as the rest of a sentence after the config's
+        name, as the rules below word theirs."""
+        errors: list[str] = []
+        if (self.players is None) == (self.population is None):
+            errors.append(": give exactly one of 'players' or 'population'")
+        outputs = _apply(_outputs, self.outputs, ": outputs", errors) or []
+        if "walk" in outputs and self.walk is None:
+            errors.append(": outputs include 'walk' but no walk block given")
+        if errors:
+            raise ConfigError(errors)
 
 
 # A rule returns the checked value of one config entry. It raises ValueError
@@ -246,14 +260,6 @@ def _walk(
     return WalkRun(WalkParams(true_price, eta, sigma), steps, traces)
 
 
-def _scenario(**fields: Any) -> ScenarioConfig:
-    if ("players" in fields) == ("population" in fields):
-        raise ValueError(": give exactly one of 'players' or 'population'")
-    if "walk" in fields.get("outputs", ()) and "walk" not in fields:
-        raise ValueError(": outputs include 'walk' but no walk block given")
-    return ScenarioConfig(**fields)
-
-
 SCENARIO_RULE = _mapping(
     {
         "jobs": _list_of(
@@ -302,7 +308,7 @@ SCENARIO_RULE = _mapping(
         ),
     },
     ("jobs", "conversion", "price_quantum", "rounds", "master_seed"),
-    _scenario,
+    ScenarioConfig,
 )
 
 
@@ -436,13 +442,6 @@ _POW10 = 10 ** np.arange(16, dtype=np.int64)  # every integer below 2**52 has <=
 _BLOCK_ROWS = 2048
 
 
-def _halves(a: np.ndarray | float) -> tuple[Any, Any]:
-    """Dekker's split: a == high + low, each with at most 26 significant bits."""
-    c = 134217729.0 * a  # 2**27 + 1
-    high = c - (c - a)
-    return high, a - high
-
-
 def _fixed_cells(values: np.ndarray, d: int) -> np.ndarray | None:
     """The UTF-8 bytes of ``f"{v:.{d}f}"`` for every cell v of ``values``.
 
@@ -454,27 +453,22 @@ def _fixed_cells(values: np.ndarray, d: int) -> np.ndarray | None:
     ``p = |v|·10**d`` is the exact product P rounded once. Below 2**52 every
     half-integer is a float, and rounding to nearest never steps over a
     float, so ``rint(p)`` is P rounded half to even unless p is itself a
-    half-integer. There P may lie either side of p, and the sign of the
-    rounding error P - p, exact by Dekker's TwoProduct (Numer. Math. 18,
-    1971), decides; a zero error is a true tie, which Python also rounds to
-    even. The integer digits are counted by exact comparisons with powers
-    of ten, and the sign is the sign bit, so ``-0.0`` prints ``-0``.
+    half-integer. There P may lie either side of p, so those few cells take
+    their digits from Python's own f-string. The integer digits are counted
+    by exact comparisons with powers of ten, and the sign is the sign bit,
+    so ``-0.0`` prints ``-0``.
     """
     v = np.asarray(values, dtype=np.float64)
     if d > 22:  # 10**d is a float exactly up to 10**22
         return None
-    scale = float(10**d)
     with np.errstate(over="ignore"):
-        p = np.abs(v) * scale
+        p = np.abs(v) * float(10**d)
     if not (p < 2.0**52).all():
         return None
     r = np.rint(p)
-    tie = np.flatnonzero(np.abs(p - r) == 0.5)
-    if tie.size:
-        x = p.flat[tie]
-        (ah, al), (sh, sl) = _halves(np.abs(v).flat[tie]), _halves(scale)
-        error = al * sl - (((x - ah * sh) - al * sh) - ah * sl)
-        r.flat[tie] = np.where(error == 0, r.flat[tie], np.floor(x) + (error > 0))
+    half = np.flatnonzero(np.abs(p - r) == 0.5)
+    if half.size:
+        r.flat[half] = [int(f"{x:.{d}f}".replace(".", "")) for x in np.abs(v.flat[half]).tolist()]
     q, n = r.astype(np.int64).ravel(), r.size
     whole = np.maximum(np.searchsorted(_POW10, q, side="right") - d, 1)
     m = int(whole.max(initial=1))
@@ -503,21 +497,6 @@ def _text_cells(texts: Sequence[str]) -> np.ndarray:
     return np.frombuffer(joined, np.uint8).reshape(len(raw), width)
 
 
-def _csv_text(shape: tuple[int, ...], *fields: np.ndarray) -> str:
-    """One CSV line per index of ``shape``, in row-major order: each field's
-    cells broadcast to ``shape + (their width,)``."""
-    widths = [f.shape[-1] for f in fields]
-    lines = np.empty((*shape, sum(widths) + len(fields)), np.uint8)
-    at = 0
-    for f, w in zip(fields, widths):
-        lines[..., at : at + w] = f
-        lines[..., at + w] = ord(",")
-        at += w + 1
-    lines[..., -1] = ord("\n")
-    flat = lines.ravel()
-    return str(flat[flat != _PAD], "utf-8")
-
-
 # A field of a block of CSV lines: the _text_cells of some texts, or
 # (values, d), numbers that print as f"{v:.{d}f}" of a float.
 Field = np.ndarray | tuple[Any, int]
@@ -525,23 +504,29 @@ Field = np.ndarray | tuple[Any, int]
 
 def _lines(shape: tuple[int, ...], *fields: Field) -> str:
     """One CSV line per index of ``shape``, in row-major order: each field's
-    cells broadcast to ``shape``. The block prints through ``_fixed_cells``,
-    or, when some cell is out of its exact range, wholly by f-strings; both
-    give the same bytes."""
-    cells = [f if isinstance(f, np.ndarray) else _fixed_cells(*f) for f in fields]
-    if all(c is not None for c in cells):
-        return _csv_text(shape, *cells)
-    columns = []
+    cells broadcast to ``shape + (their width,)``. A number field prints
+    through ``_fixed_cells``, or, when some cell of it is out of that
+    kernel's exact range, as the ``_text_cells`` of its f-strings; both give
+    the same bytes."""
+    cells = []
     for f in fields:
-        if isinstance(f, np.ndarray):
-            at = f.shape[:-1]
-            texts = [bytes(c[c != _PAD]).decode() for c in f.reshape(math.prod(at), f.shape[-1])]
-        else:
+        if not isinstance(f, np.ndarray):
             values, d = np.asarray(f[0], np.float64), f[1]
-            at, texts = values.shape, [f"{v:.{d}f}" for v in values.ravel().tolist()]
-        column = np.array(texts, dtype=object).reshape(at)
-        columns.append(np.broadcast_to(column, shape).ravel().tolist())
-    return "".join(",".join(row) + "\n" for row in zip(*columns))
+            f = _fixed_cells(values, d)
+            if f is None:
+                f = _text_cells([f"{v:.{d}f}" for v in values.ravel().tolist()])
+                f = f.reshape(*values.shape, f.shape[-1])
+        cells.append(f)
+    lines = np.empty((*shape, sum(c.shape[-1] + 1 for c in cells)), np.uint8)
+    at = 0
+    for c in cells:
+        w = c.shape[-1]
+        lines[..., at : at + w] = c
+        lines[..., at + w] = ord(",")
+        at += w + 1
+    lines[..., -1] = ord("\n")
+    flat = lines.ravel()
+    return str(flat[flat != _PAD], "utf-8")
 
 
 def _price_decimals(quantum: float) -> int:

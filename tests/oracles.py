@@ -6,6 +6,7 @@ time, so the faster code in ``camsim`` can be held to it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +28,7 @@ from camsim import (
     optimal_price_arrays,
     simulate_walk,
 )
+from camsim.assignment import ENUMERATION_CAP, cost_matrix
 from camsim.market import SelfProduction
 from camsim.scenario import (
     HEADERS,
@@ -80,6 +82,34 @@ def validate(producer_of: dict[str, str], config: EconomyConfig) -> None:
     for jid, pid in producer_of.items():
         if pid not in players:
             raise ValueError(f"job {jid!r} assigned to unknown player {pid!r}")
+
+
+def brute_force_min_assignment(
+    config: EconomyConfig, cap: int = ENUMERATION_CAP
+) -> tuple[dict[str, str], float]:
+    """Exhaustively enumerate every producer choice per job; exact oracle.
+
+    Raises ValueError when players**jobs exceeds ``cap``.
+    """
+    jobs = config.job_ids()
+    players = config.player_ids()
+    if not jobs:
+        return {}, 0.0
+    if not players:
+        raise ValueError("economy has no players")
+    n_candidates = len(players) ** len(jobs)
+    if n_candidates > cap:
+        raise ValueError(
+            f"{len(players)}^{len(jobs)} = {n_candidates} candidates exceeds cap {cap}"
+        )
+    rows = cost_matrix(config)
+    # Chained outer sums build the full players**jobs energy tensor; argmin's
+    # first-occurrence rule is exactly the lexicographic (job, player) tie-break.
+    total = functools.reduce(np.add.outer, rows)
+    flat = int(np.argmin(total))
+    choice = np.unravel_index(flat, total.shape)
+    best = {jid: players[c] for jid, c in zip(jobs, choice)}
+    return best, float(total.reshape(-1)[flat])
 
 
 def net_energy(producer_of: dict[str, str], config: EconomyConfig) -> float:

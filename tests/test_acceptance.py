@@ -14,7 +14,6 @@ from camsim import (
     JobSpec,
     Player,
     WalkParams,
-    brute_force_min_assignment,
     build_price_density,
     buyer_count,
     conservation_check,
@@ -31,6 +30,7 @@ from camsim import (
 from camsim.scenario import artifact_digests
 from tests.oracles import (
     atoms,
+    brute_force_min_assignment,
     buyer_counts,
     optimal_price,
     p_max,

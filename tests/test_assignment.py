@@ -8,10 +8,9 @@ from camsim import (
     JobSpec,
     Player,
     autarky_energy,
-    brute_force_min_assignment,
     optimal_assignment,
 )
-from tests.oracles import net_energy, stationarity_check
+from tests.oracles import brute_force_min_assignment, net_energy, stationarity_check
 
 
 def random_economy(rng, n_players, n_jobs, eff_low=0.5, eff_high=2.0):

@@ -153,11 +153,27 @@ def test_bench_workloads_shortened_match_the_per_cell_oracle(tmp_path, workload)
     assert_same_bytes(paths, run_scenario_by_cell(sc, tmp_path / "oracle"))
 
 
-@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda p: p.stem)
-def test_the_f_string_fallback_writes_the_kernel_bytes(tmp_path, monkeypatch, workload):
-    """With the kernel refusing every block, wealth, walk and density print
-    through the one f-string fallback, the step and mass columns as ``.0f``
-    of a float, and all five outputs keep the kernel's bytes and the
+# The fields the kernel refuses, by decimals: every one, or some, so that
+# each wealth and walk block mixes kernel and f-string fields. The 9-decimal
+# fields end every such line, so refusing all but those puts f-string fields
+# mid-line too.
+REFUSALS = {
+    "": lambda d: True,
+    "-refusing-9-decimals": lambda d: d == 9,
+    "-refusing-all-but-9-decimals": lambda d: d != 9,
+}
+FALLBACKS = [
+    pytest.param(w, refuses, id=w.stem + name)
+    for name, refuses in REFUSALS.items()
+    for w in WORKLOADS
+]
+
+
+@pytest.mark.parametrize("workload, refuses", FALLBACKS)
+def test_the_f_string_fallback_writes_the_kernel_bytes(tmp_path, monkeypatch, workload, refuses):
+    """With the kernel refusing fields, wealth, walk and density print those
+    fields through the one f-string fallback, the step and mass columns as
+    ``.0f`` of a float, and all five outputs keep the kernel's bytes and the
     oracle's."""
     raw = yaml.safe_load(workload.read_bytes())
     raw["rounds"] = 30
@@ -165,7 +181,12 @@ def test_the_f_string_fallback_writes_the_kernel_bytes(tmp_path, monkeypatch, wo
     raw["walk"] = {**raw.get("walk", {"true_price": 1.0, "eta": 0.5, "sigma": 0.1}), "steps": 3000}
     sc = parse_mapping(raw)
     kernel = run_scenario(sc, tmp_path / "kernel")["paths"]
-    monkeypatch.setattr(scenario, "_fixed_cells", lambda values, d: None)
+    kernel_cells = scenario._fixed_cells
+    monkeypatch.setattr(
+        scenario,
+        "_fixed_cells",
+        lambda values, d: None if refuses(d) else kernel_cells(values, d),
+    )
     fallback = run_scenario(sc, tmp_path / "fallback")["paths"]
     assert_same_bytes(fallback, kernel)
     assert_same_bytes(fallback, run_scenario_by_cell(sc, tmp_path / "oracle"))

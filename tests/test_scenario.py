@@ -26,6 +26,7 @@ from camsim.cli import _no_trade_failures, main
 from camsim.scenario import (
     HEADERS,
     OUTPUT_KINDS,
+    PopulationSpec,
     ScenarioConfig,
     WalkRun,
     artifact_digests,
@@ -636,6 +637,40 @@ def test_jobs_without_players_is_a_config_error_before_any_output(tmp_path):
     with pytest.raises(ConfigError, match="^economy has no players$"):
         run_scenario(sc, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+KINDS = f": outputs must be a list drawn from {OUTPUT_KINDS}"
+ONE_OF = ": give exactly one of 'players' or 'population'"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"outputs": ["wealthh"]}, KINDS),
+        ({"outputs": "wealth"}, KINDS),
+        ({"outputs": ["walk"]}, ": outputs include 'walk' but no walk block given"),
+        ({"population": PopulationSpec(2, "uniform", {"low": 1.0, "high": 2.0})}, ONE_OF),
+        ({"players": None}, ONE_OF),
+    ],
+    ids=["unknown-kind", "string", "walk-without-block", "players-and-population", "neither"],
+)
+def test_a_scenario_built_in_code_follows_the_yaml_cross_field_rules(tmp_path, fields, message):
+    """The rules between fields hold for a ScenarioConfig built in code, in
+    the YAML's words, before any output directory is made."""
+    base = dict(
+        jobs=[JobSpec("x", 10.0)],
+        conversion=1.0,
+        price_quantum=0.01,
+        rounds=1,
+        master_seed=0,
+        outputs=["wealth"],
+        players=[Player("P1", {"x": 2.0}), Player("P2", {"x": 1.0})],
+    )
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as raised:
+        run_scenario(ScenarioConfig(**{**base, **fields}), out)
+    assert raised.value.errors == [message]
+    assert not out.exists()
 
 
 def test_run_scenario_rejects_an_id_a_csv_cannot_print(tmp_path):

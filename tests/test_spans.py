@@ -5,9 +5,12 @@ silently skips one that no longer exists, so a rename under ``src/`` would
 read 0 for that layer's metric without any error. Its observers read the
 wrapped calls' arguments by name, its trade-pair replay calls
 ``execute_round`` by keyword, and its layer metrics read config attributes
-and report fields of a whole checked run.
+and report fields of a whole checked run. Every ``bench/*.py`` imports
+its names from ``camsim`` by ``from ... import``, which fails each sample
+if a name moves.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -112,3 +115,18 @@ def test_layer_metrics_read_a_checked_run(tmp_path):
     # Each trace's 5,000 steps are written in three blocks.
     assert walked["scenario.csv_rows"] == detail["scenario.csv_rows"] + 2 * 3
     assert walked["scenario.csv_bytes"] > detail["scenario.csv_bytes"] > 0
+
+
+def test_bench_imports_from_camsim_resolve():
+    """Each ``from camsim... import name`` in ``bench/*.py``, such as
+    ``artifact_digests`` in every sample, names something that exists."""
+    imports = [
+        (path.name, node.module, alias.name)
+        for path in sorted(SPANS.parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "camsim"
+        for alias in node.names
+    ]
+    assert ("child.py", "camsim.scenario", "artifact_digests") in imports
+    for file, module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{file}: {module}.{name}"
