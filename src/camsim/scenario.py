@@ -59,9 +59,24 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class PopulationSpec:
+    """A drawn population. Built in code, it holds to the YAML's rules too."""
+
     count: int
     efficiency_distribution: str
     params: dict[str, float]
+
+    def __post_init__(self) -> None:
+        _check_fields(self, _POPULATION_RULES)
+        name, params = self.efficiency_distribution, self.params
+        if name not in EFFICIENCY_DRAWS:
+            problem = f"efficiency_distribution must be one of {tuple(EFFICIENCY_DRAWS)}"
+        elif set(params) != set(names := EFFICIENCY_DRAWS[name][0]):
+            problem = f"params for {name} must be {sorted(names)}"
+        elif name == "uniform" and params["low"] > params["high"]:
+            problem = "params: low must be <= high"
+        else:
+            return
+        raise ConfigError([f": {problem}"])
 
 
 @dataclass(frozen=True)
@@ -70,9 +85,16 @@ class WalkRun:
     steps: int
     traces: int
 
+    def __post_init__(self) -> None:
+        _check_fields(self, _WALK_RULES)
+
 
 @dataclass
 class ScenarioConfig:
+    """A scenario. Built in code, it holds to each field's YAML rule and to
+    those between fields, raising ConfigError in the YAML's words; ``jobs``,
+    ``players`` and ``demand`` hold to ``JobSpec``, ``Player`` and ``EconomyConfig``."""
+
     jobs: list[JobSpec]
     conversion: float
     price_quantum: float
@@ -86,17 +108,12 @@ class ScenarioConfig:
     walk: WalkRun | None = None
 
     def __post_init__(self) -> None:
-        """Hold a config built in code to the YAML's rules between fields.
-        Each problem is worded as the rest of a sentence after the config's
-        name, as the rules below word theirs."""
-        errors: list[str] = []
+        errors = []
         if (self.players is None) == (self.population is None):
             errors.append(": give exactly one of 'players' or 'population'")
-        outputs = _apply(_outputs, self.outputs, ": outputs", errors) or []
-        if "walk" in outputs and self.walk is None:
+        if isinstance(self.outputs, list) and "walk" in self.outputs and self.walk is None:
             errors.append(": outputs include 'walk' but no walk block given")
-        if errors:
-            raise ConfigError(errors)
+        _check_fields(self, _SCALAR_RULES, errors)
 
 
 # A rule returns the checked value of one config entry. It raises ValueError
@@ -114,6 +131,22 @@ def _apply(rule: Rule, value: Any, name: str, errors: list[str]) -> Any:
     except ConfigError as exc:
         errors += [f"{name}{e}" for e in exc.errors]
     return None
+
+
+def _checked(entries: Iterable[tuple[str, Rule, Any]], errors: Sequence[str] = ()) -> list:
+    """rule(value) of each (name, rule, value); if any fails, one ConfigError
+    holds ``errors`` and then each problem under its entry's name."""
+    errors = list(errors)
+    values = [_apply(rule, value, name, errors) for name, rule, value in entries]
+    if errors:
+        raise ConfigError(errors)
+    return values
+
+
+def _check_fields(spec: Any, rules: dict[str, Rule], errors: Sequence[str] = ()) -> None:
+    """Set each field of ``spec`` named in ``rules``, frozen or not, to its checked value."""
+    values = _checked([(f": {k}", rule, getattr(spec, k)) for k, rule in rules.items()], errors)
+    spec.__dict__.update(zip(rules, values))
 
 
 def _integer(low: int) -> Rule:
@@ -148,7 +181,6 @@ def _number(bound: str = "", holds: Callable[[float], bool] = lambda v: True) ->
 
 _POSITIVE = _number(" > 0", lambda v: v > 0)
 _NONNEGATIVE = _number(" >= 0", lambda v: v >= 0)
-_SEED = _integer(0)
 
 
 def _mapping(rules: dict[str, Rule], required=(), build: Callable = dict) -> Rule:
@@ -163,10 +195,9 @@ def _mapping(rules: dict[str, Rule], required=(), build: Callable = dict) -> Rul
             raise ValueError(" must be a mapping")
         errors = [f": unknown key {key!r}" for key in x if key not in rules]
         errors += [f": missing required key {key!r}" for key in required if key not in x]
-        out = {k: _apply(rules[k], v, f": {k}", errors) for k, v in x.items() if k in rules}
-        if errors:
-            raise ConfigError(errors)
-        return build(**out)
+        keys = [k for k in x if k in rules]
+        values = _checked([(f": {k}", rules[k], x[k]) for k in keys], errors)
+        return build(**dict(zip(keys, values)))
 
     return rule
 
@@ -177,11 +208,7 @@ def _list_of(rule: Rule, nonempty: bool = False) -> Rule:
             raise ValueError(" must be a list")
         if nonempty and not x:
             raise ValueError(" must not be empty")
-        errors: list[str] = []
-        out = [_apply(rule, item, f"[{n}]", errors) for n, item in enumerate(x)]
-        if errors:
-            raise ConfigError(errors)
-        return out
+        return _checked((f"[{n}]", rule, item) for n, item in enumerate(x))
 
     return check
 
@@ -192,11 +219,7 @@ def _by_id(rule: Rule) -> Rule:
     def check(x: Any) -> dict[str, Any]:
         if not isinstance(x, dict):
             raise ValueError(" must be a mapping")
-        errors: list[str] = []
-        out = {str(k): _apply(rule, v, f"[{k!r}]", errors) for k, v in x.items()}
-        if errors:
-            raise ConfigError(errors)
-        return out
+        return dict(zip(map(str, x), _checked((f"[{k!r}]", rule, v) for k, v in x.items())))
 
     return check
 
@@ -223,14 +246,14 @@ def _outputs(x: Any) -> list[str]:
     return list(x)
 
 
-# Each distribution's parameters, and each parameter's rule: every drawn
-# efficiency must be finite and > 0.
-POPULATION_PARAMS = {
-    "uniform": ("low", "high"),
-    "log-normal": ("mu", "sigma"),
-    "pareto": ("alpha", "minimum"),
+# Each distribution of drawn efficiencies: its parameters' names, and its
+# draw of a table of the given size from them, in that order.
+EFFICIENCY_DRAWS: dict[str, tuple[tuple[str, ...], Callable[..., np.ndarray]]] = {
+    "uniform": (("low", "high"), lambda rng, low, high, size: rng.uniform(low, high, size)),
+    "log-normal": (("mu", "sigma"), lambda rng, mu, sigma, size: rng.lognormal(mu, sigma, size)),
+    "pareto": (("alpha", "minimum"), lambda rng, a, m, size: m * (1.0 + rng.pareto(a, size))),
 }
-DISTRIBUTIONS = tuple(POPULATION_PARAMS)
+# Each parameter's rule: every drawn efficiency must be finite and > 0.
 PARAM_RULES = {
     "low": _POSITIVE,
     "high": _POSITIVE,
@@ -239,25 +262,20 @@ PARAM_RULES = {
     "alpha": _POSITIVE,
     "minimum": _POSITIVE,
 }
-
-
-def _population(
-    count: int, efficiency_distribution: str, params: dict[str, float]
-) -> PopulationSpec:
-    if efficiency_distribution not in DISTRIBUTIONS:
-        raise ValueError(f": efficiency_distribution must be one of {DISTRIBUTIONS}")
-    names = POPULATION_PARAMS[efficiency_distribution]
-    if set(params) != set(names):
-        raise ValueError(f": params for {efficiency_distribution} must be {sorted(names)}")
-    if efficiency_distribution == "uniform" and params["low"] > params["high"]:
-        raise ValueError(": params: low must be <= high")
-    return PopulationSpec(count, efficiency_distribution, params)
-
-
-def _walk(
-    true_price: float, eta: float, sigma: float, steps: int = 1000, traces: int = 1
-) -> WalkRun:
-    return WalkRun(WalkParams(true_price, eta, sigma), steps, traces)
+_POPULATION_RULES = {
+    "count": _integer(1),
+    "efficiency_distribution": str,
+    "params": _mapping(PARAM_RULES),
+}
+_WALK_RULES = {"steps": _integer(1), "traces": _integer(1)}
+_SCALAR_RULES = {
+    "conversion": _POSITIVE,
+    "price_quantum": _POSITIVE,
+    "rounds": _integer(1),
+    "master_seed": _integer(0),
+    "initial_money": _POSITIVE,
+    "outputs": _outputs,
+}
 
 
 SCENARIO_RULE = _mapping(
@@ -279,33 +297,19 @@ SCENARIO_RULE = _mapping(
             ),
             nonempty=True,
         ),
-        "population": _mapping(
-            {
-                "count": _integer(1),
-                "efficiency_distribution": str,
-                "params": _mapping(PARAM_RULES),
-            },
-            ("count", "efficiency_distribution", "params"),
-            _population,
-        ),
-        "conversion": _POSITIVE,
-        "price_quantum": _POSITIVE,
+        "population": _mapping(_POPULATION_RULES, tuple(_POPULATION_RULES), PopulationSpec),
         "demand": _demand,
-        "rounds": _integer(1),
-        "master_seed": _SEED,
-        "initial_money": _POSITIVE,
-        "outputs": _outputs,
         "walk": _mapping(
             {
                 "true_price": _NONNEGATIVE,
                 "eta": _number(" in (0, 2)", lambda v: 0 < v < 2),
                 "sigma": _NONNEGATIVE,
-                "steps": _integer(1),
-                "traces": _integer(1),
+                **_WALK_RULES,
             },
             ("true_price", "eta", "sigma"),
-            _walk,
+            lambda steps=1000, traces=1, **p: WalkRun(WalkParams(**p), steps, traces),
         ),
+        **_SCALAR_RULES,
     },
     ("jobs", "conversion", "price_quantum", "rounds", "master_seed"),
     ScenarioConfig,
@@ -314,10 +318,7 @@ SCENARIO_RULE = _mapping(
 
 def parse_mapping(raw: Any, source: str = "<config>") -> ScenarioConfig:
     """Validate a parsed YAML tree; raises ConfigError with every problem."""
-    errors: list[str] = []
-    sc = _apply(SCENARIO_RULE, raw, source, errors)
-    if errors:
-        raise ConfigError(errors)
+    [sc] = _checked([(source, SCENARIO_RULE, raw)])
     return sc
 
 
@@ -340,7 +341,7 @@ def load_config(path: str | Path, master_seed: int | None = None) -> ScenarioCon
     errors: list[str] = []
     seed = None
     if master_seed is not None:
-        seed = _apply(_SEED, master_seed, "--seed: master_seed", errors)
+        seed = _apply(_SCALAR_RULES["master_seed"], master_seed, "--seed: master_seed", errors)
     try:
         with path.open("rb") as fh:
             raw = yaml.load(fh, Loader=_LOADER)
@@ -359,17 +360,6 @@ def load_config(path: str | Path, master_seed: int | None = None) -> ScenarioCon
     return sc
 
 
-def _draw_efficiencies(
-    spec: PopulationSpec, n_jobs: int, rng: np.random.Generator
-) -> np.ndarray:
-    p = spec.params
-    if spec.efficiency_distribution == "uniform":
-        return rng.uniform(p["low"], p["high"], size=(spec.count, n_jobs))
-    if spec.efficiency_distribution == "log-normal":
-        return rng.lognormal(p["mu"], p["sigma"], size=(spec.count, n_jobs))
-    return p["minimum"] * (1.0 + rng.pareto(p["alpha"], size=(spec.count, n_jobs)))
-
-
 def build_economy(sc: ScenarioConfig) -> EconomyConfig:
     """Materialize the economy. A generated population is drawn as one
     efficiency table and passed in as it is, never as ``Player`` objects."""
@@ -382,9 +372,10 @@ def build_economy(sc: ScenarioConfig) -> EconomyConfig:
     if sc.players is not None:
         return EconomyConfig.of(sc.players, sc.jobs, **rest)
     rng = np.random.default_rng(np.random.SeedSequence(sc.master_seed, spawn_key=(0,)))
-    jobs = sorted(sc.jobs, key=lambda j: j.job_id)
+    pop, jobs = sc.population, sorted(sc.jobs, key=lambda j: j.job_id)
+    names, draw = EFFICIENCY_DRAWS[pop.efficiency_distribution]
     with np.errstate(over="ignore"):  # the config reports a draw of inf or 0
-        eff = _draw_efficiencies(sc.population, len(jobs), rng)
+        eff = draw(rng, *[pop.params[k] for k in names], (pop.count, len(jobs)))
     return EconomyConfig(ids, [j.job_id for j in jobs], eff, [j.workload for j in jobs], **rest)
 
 
