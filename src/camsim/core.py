@@ -32,8 +32,8 @@ ID_RULE = " must not contain a comma, a double quote, CR or LF"
 _ID_SPECIALS = ',"\r\n'
 
 
-def _finite(x: float, positive: bool = False) -> bool:
-    """Whether x is a finite number, > 0 if ``positive`` and >= 0 otherwise.
+def is_amount(x: float, positive: bool = False) -> bool:
+    """Whether x is an amount: a finite number, > 0 if ``positive`` and >= 0 otherwise.
 
     As in the YAML rules, a boolean is not a number, and an int too large
     for a float is not finite.
@@ -58,7 +58,7 @@ class JobSpec:
     workload: float
 
     def __post_init__(self) -> None:
-        if not _finite(self.workload):
+        if not is_amount(self.workload):
             raise ValueError(f"job {self.job_id!r}: workload must be finite and >= 0")
 
 
@@ -75,10 +75,10 @@ class Player:
     money: float | None = None
 
     def __post_init__(self) -> None:
-        if self.money is not None and not _finite(self.money):
+        if self.money is not None and not is_amount(self.money):
             raise ValueError(f"player {self.player_id!r}: money must be finite and >= 0")
         for job_id, eff in self.efficiencies.items():
-            if not _finite(eff, positive=True):
+            if not is_amount(eff, positive=True):
                 raise ValueError(
                     f"player {self.player_id!r}: efficiency for job {job_id!r} "
                     f"must be finite and > 0, got {eff}"
@@ -105,10 +105,11 @@ def _sorted(ids: Sequence[str], what: str) -> tuple[np.ndarray, dict[str, int]]:
     return order, place
 
 
-def _count(units: Any) -> bool:
-    """Whether ``units`` is a demand: an integer >= 0, never a bool or a
-    float, as in the YAML rules, so that the records print it exactly."""
-    return isinstance(units, (int, np.integer)) and not isinstance(units, bool) and units >= 0
+def is_count(x: Any, low: int) -> bool:
+    """Whether x is an integer >= low: a Python or numpy int, never a bool
+    (YAML booleans load as ints) or a float, so that the records print it
+    exactly."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= low
 
 
 class _Uniform(Mapping):
@@ -208,7 +209,7 @@ class EconomyConfig:
         if bad.size:
             raise ValueError(f"job {self.jobs[bad[0]]!r}: workload must be finite and >= 0")
         for pid, cash in zip(self.players, money):
-            if cash is not None and not _finite(cash):
+            if cash is not None and not is_amount(cash):
                 raise ValueError(f"player {pid!r}: money must be finite and >= 0")
         bad = np.argwhere(~(np.isfinite(eff) & (eff > 0)))
         if len(bad):
@@ -217,9 +218,9 @@ class EconomyConfig:
                 f"player {self.players[r]!r}: efficiency for job {self.jobs[c]!r} "
                 f"must be finite and > 0, got {float(eff[r, c])}"
             )
-        if not _finite(self.conversion, positive=True):
+        if not is_amount(self.conversion, positive=True):
             raise ValueError("conversion must be finite and > 0")
-        if not _finite(self.price_quantum, positive=True):
+        if not is_amount(self.price_quantum, positive=True):
             raise ValueError("price_quantum must be finite and > 0")
         # An int, or the view of one over these ids that dataclasses.replace
         # passes on, is one count for every cell.
@@ -240,13 +241,13 @@ class EconomyConfig:
                     raise ValueError(f"demand references unknown player {pid!r}")
                 if jid not in self._col:
                     raise ValueError(f"demand references unknown job {jid!r}")
-                if not _count(units):
+                if not is_count(units, 0):
                     raise ValueError(f"demand for {(pid, jid)} must be a nonnegative integer")
                 self._totals[jid] += units
                 at.append(self._row[pid] * m + self._col[jid])
             self.demand = MappingProxyType(demand)
         else:
-            if not _count(uniform):
+            if not is_count(uniform, 0):
                 raise ValueError("demand must be a nonnegative integer")
             self._totals = dict.fromkeys(self._col, uniform * n)
             self.demand = _Uniform(uniform, self._row, self._col)

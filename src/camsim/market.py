@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EconomyConfig, autarky_energy
+from .core import EconomyConfig, autarky_energy, is_amount, is_count
 from .pricing import optimal_price_arrays
 
 DEFAULT_ENDOWMENT = 1e9
@@ -92,6 +92,9 @@ class MarketState:
     def from_config(
         cls, config: EconomyConfig, initial_money: float = DEFAULT_ENDOWMENT
     ) -> "MarketState":
+        """A fresh state; players without money start with ``initial_money``."""
+        if not is_amount(initial_money):
+            raise ValueError("initial money must be finite and >= 0")
         starts = [initial_money if m is None else m for m in config.starting_money]
         money = np.array(starts, dtype=float) + 0.0  # -0.0 starts as 0.0
         return cls(money, np.zeros_like(money), np.zeros_like(money))
@@ -433,10 +436,11 @@ def run_market(
 ) -> tuple[MarketState, list[RoundReport]]:
     """Run the market loop for a number of rounds from a fresh state.
 
-    Raises ValueError when the rounds could overflow a ledger.
+    Raises ValueError when ``rounds`` is not an integer >= 1, the endowment
+    is not finite and >= 0, or the rounds could overflow a ledger.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    if not is_count(rounds, 1):
+        raise ValueError("rounds must be an integer >= 1")
     state = MarketState.from_config(config, initial_money)
     check_ledger_bound(config, state, rounds)
     offers = post_offers(config)

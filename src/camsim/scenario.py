@@ -6,7 +6,9 @@ outputs wanted, and optionally the parameters of the price-estimation
 walk. Every random draw derives from the single ``master_seed`` through
 numpy SeedSequence spawn keys: ``(0,)`` for population generation and
 ``(2, i)`` for walk trace ``i`` (the market loop itself draws nothing).
-Identical config bytes therefore give byte-identical output files.
+Identical config bytes therefore give byte-identical output files. A
+``ScenarioConfig``, ``PopulationSpec`` or ``WalkRun`` built in code is held
+to each field's rule, from the same table the YAML uses, in its words.
 
 A run is one streaming pass. The per-round outputs (trades, wealth,
 savings) are opened once. Each round's trades and savings lines are written
@@ -37,7 +39,7 @@ import yaml
 
 from .analysis import system_savings_series
 from .assignment import optimal_assignment
-from .core import ID_RULE, EconomyConfig, JobSpec, Player, autarky_energy, csv_safe
+from .core import ID_RULE, EconomyConfig, JobSpec, Player, autarky_energy, csv_safe, is_count
 from .market import (
     DEFAULT_ENDOWMENT,
     MarketState,
@@ -108,7 +110,7 @@ class ScenarioConfig:
     walk: WalkRun | None = None
 
     def __post_init__(self) -> None:
-        errors = []
+        errors: list[str] = []
         if (self.players is None) == (self.population is None):
             errors.append(": give exactly one of 'players' or 'population'")
         if isinstance(self.outputs, list) and "walk" in self.outputs and self.walk is None:
@@ -150,10 +152,10 @@ def _check_fields(spec: Any, rules: dict[str, Rule], errors: Sequence[str] = ())
 
 
 def _integer(low: int) -> Rule:
-    """An integer >= low. YAML booleans load as ints; a count is never one."""
+    """An integer >= low, as ``is_count`` tests it."""
 
     def rule(x: Any) -> int:
-        if isinstance(x, bool) or not isinstance(x, int) or x < low:
+        if not is_count(x, low):
             raise ValueError(f" must be an integer >= {low}")
         return x
 
@@ -611,10 +613,11 @@ def run_scenario(
     Returns the paths written (``paths``), the economy (``config``), the
     trades over all rounds (``n_trades``), and the per-round energy of the
     optimal assignment and of autarky. Equal (config, seed) give
-    byte-identical outputs. An economy the config cannot describe, such as
-    a player without an efficiency for some job, jobs without players, or
-    one whose ledgers could overflow a float within the rounds, raises
-    ConfigError before any file is written.
+    byte-identical outputs. A bad field value, in code as in YAML, raised
+    ConfigError when ``sc`` was built. An economy the config cannot
+    describe, such as a player without an efficiency for some job, jobs
+    without players, or one whose ledgers could overflow a float within
+    the rounds, raises ConfigError before any file is written.
     """
     try:
         config = build_economy(sc)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from camsim import (
     EconomyConfig,
     JobSpec,
+    MarketState,
     Player,
     autarky_energy,
     break_even_price,
@@ -187,14 +188,18 @@ def test_autarky_matches_brute_force_sum(golden):
     "money", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"]
 )
 def test_player_money_must_be_finite_and_nonnegative(golden, money):
-    """The YAML rule's bound holds for players built in code too: a NaN
-    balance would pass the ledger bound and every conservation check."""
+    """The YAML rule's bound holds for players built in code too, and for the
+    endowment of those without money: a NaN balance would pass the ledger
+    bound and every conservation check."""
     p2 = Player("P2", {"x": 1.0, "y": 2.0})
     with pytest.raises(ValueError, match="'P2': money must be finite and >= 0"):
         dataclasses.replace(p2, money=money)
     assert Player("P2", p2.efficiencies, money=0.0).money == 0.0
     with pytest.raises(ValueError, match="'P2': money must be finite and >= 0"):
         dataclasses.replace(golden, money=[None, money, None])
+    with pytest.raises(ValueError, match="^initial money must be finite and >= 0$"):
+        MarketState.from_config(golden, money)
+    assert MarketState.from_config(golden, 0.0).money.tolist() == [0.0, 0.0, 0.0]
 
 
 HUGE = 10**400  # an int too large for a float

@@ -554,6 +554,14 @@ def test_explicit_zero_money_starts_at_zero(golden):
     assert report.n_forced == 2  # P3 has nothing to buy with
 
 
+@pytest.mark.parametrize("rounds", [0, True, 2.5], ids=["zero", "bool", "fraction"])
+def test_run_market_rounds_must_be_an_integer_of_at_least_one(golden, rounds):
+    """As in the YAML rule: True would run one round, and 2.5 would post
+    offers before range() refused it."""
+    with pytest.raises(ValueError, match="^rounds must be an integer >= 1$"):
+        run_market(golden, rounds)
+
+
 def test_determinism(golden):
     s1, r1 = run_market(golden, 5)
     s2, r2 = run_market(golden, 5)

@@ -233,9 +233,11 @@ def test_any_replaced_value_parses_or_raises_config_error(where, value):
             node = node[key]
         node[path[-1]] = value
     try:
-        parse_mapping(raw)
+        sc = parse_mapping(raw)
     except ConfigError:
-        pass  # a rejection; any other exception fails the test
+        return  # a rejection; any other exception fails the test
+    # The scalar rules run again in __post_init__, and change nothing.
+    assert dataclasses.replace(sc) == sc
 
 
 def test_generated_population_round_trip(tmp_path):
@@ -641,36 +643,121 @@ def test_jobs_without_players_is_a_config_error_before_any_output(tmp_path):
 
 KINDS = f": outputs must be a list drawn from {OUTPUT_KINDS}"
 ONE_OF = ": give exactly one of 'players' or 'population'"
+# A two-player scenario, built in code and as a YAML tree.
+BUILT = dict(
+    jobs=[JobSpec("x", 10.0)],
+    conversion=1.0,
+    price_quantum=0.01,
+    rounds=1,
+    master_seed=0,
+    outputs=["wealth"],
+    players=[Player("P1", {"x": 2.0}), Player("P2", {"x": 1.0})],
+)
+TREE = yaml.safe_load(
+    "jobs: [{job_id: x, workload: 10.0}]\n"
+    "conversion: 1.0\nprice_quantum: 0.01\nrounds: 1\nmaster_seed: 0\noutputs: [wealth]\n"
+    "players: [{player_id: P1, efficiencies: {x: 2.0}}, {player_id: P2, efficiencies: {x: 1.0}}]\n"
+)
+UNIFORM = {"low": 0.5, "high": 2.0}
+WALK = {"true_price": 1.0, "eta": 0.5, "sigma": 0.1}
+
+
+def drawn(count, distribution, params):
+    """The fields and the tree of a population in place of the players."""
+    population = {"count": count, "efficiency_distribution": distribution, "params": params}
+    return (
+        lambda: {"players": None, "population": PopulationSpec(**population)},
+        {"players": None, "population": population},
+    )
+
+
+def same(**fields):
+    """Fields that read the same in code and in YAML."""
+    return lambda: fields, fields
 
 
 @pytest.mark.parametrize(
-    "fields, message",
+    "fields, tree, message",
     [
-        ({"outputs": ["wealthh"]}, KINDS),
-        ({"outputs": "wealth"}, KINDS),
-        ({"outputs": ["walk"]}, ": outputs include 'walk' but no walk block given"),
-        ({"population": PopulationSpec(2, "uniform", {"low": 1.0, "high": 2.0})}, ONE_OF),
-        ({"players": None}, ONE_OF),
+        (*same(outputs=["wealthh"]), KINDS),
+        (*same(outputs="wealth"), KINDS),
+        (*same(outputs=["walk"]), ": outputs include 'walk' but no walk block given"),
+        (
+            lambda: {"population": PopulationSpec(2, "uniform", UNIFORM)},
+            {"population": {"count": 2, "efficiency_distribution": "uniform", "params": UNIFORM}},
+            ONE_OF,
+        ),
+        (*same(players=None), ONE_OF),
+        (*same(rounds=-3), ": rounds must be an integer >= 1"),
+        (*same(rounds=2.5), ": rounds must be an integer >= 1"),
+        (*same(rounds=True), ": rounds must be an integer >= 1"),
+        (*same(rounds=0), ": rounds must be an integer >= 1"),
+        (*same(master_seed=-1), ": master_seed must be an integer >= 0"),
+        (*same(initial_money=-5.0), ": initial_money must be a finite number > 0"),
+        (*same(initial_money=0.0), ": initial_money must be a finite number > 0"),
+        (*same(conversion="x"), ": conversion must be a finite number > 0"),
+        (
+            lambda: {"walk": WalkRun(WalkParams(**WALK), steps=0, traces=1)},
+            {"walk": {**WALK, "steps": 0}},
+            ": steps must be an integer >= 1",
+        ),
+        (
+            lambda: {"walk": WalkRun(WalkParams(**WALK), steps=5, traces=-1)},
+            {"walk": {**WALK, "traces": -1}},
+            ": traces must be an integer >= 1",
+        ),
+        (
+            *drawn(5, "bogus", {"alpha": 2.0, "minimum": 0.5}),
+            ": efficiency_distribution must be one of ('uniform', 'log-normal', 'pareto')",
+        ),
+        (*drawn(5, "uniform", {"low": 0.5}), ": params for uniform must be ['high', 'low']"),
+        (*drawn(0, "uniform", UNIFORM), ": count must be an integer >= 1"),
+        (*drawn(5, "uniform", {"low": 2.0, "high": 0.5}), ": params: low must be <= high"),
+        (
+            *drawn(5, "log-normal", {"mu": 0.0, "sigma": -1.0}),
+            ": params: sigma must be a finite number >= 0",
+        ),
     ],
-    ids=["unknown-kind", "string", "walk-without-block", "players-and-population", "neither"],
+    ids=[
+        "unknown-kind",
+        "string",
+        "walk-without-block",
+        "players-and-population",
+        "neither",
+        "rounds-negative",
+        "rounds-fraction",
+        "rounds-bool",
+        "rounds-zero",
+        "seed-negative",
+        "money-negative",
+        "money-zero",
+        "conversion-string",
+        "walk-steps-zero",
+        "walk-traces-negative",
+        "unknown-distribution",
+        "uniform-without-high",
+        "count-zero",
+        "low-above-high",
+        "sigma-negative",
+    ],
 )
-def test_a_scenario_built_in_code_follows_the_yaml_cross_field_rules(tmp_path, fields, message):
-    """The rules between fields hold for a ScenarioConfig built in code, in
-    the YAML's words, before any output directory is made."""
-    base = dict(
-        jobs=[JobSpec("x", 10.0)],
-        conversion=1.0,
-        price_quantum=0.01,
-        rounds=1,
-        master_seed=0,
-        outputs=["wealth"],
-        players=[Player("P1", {"x": 2.0}), Player("P2", {"x": 1.0})],
-    )
+def test_a_scenario_built_in_code_follows_the_yaml_cross_field_rules(
+    tmp_path, fields, tree, message
+):
+    """A ScenarioConfig, PopulationSpec or WalkRun built in code is held to
+    each field's YAML rule and to those between fields, before any output
+    directory is made; the YAML's message for the same values ends with its
+    message. ``fields()`` builds the specs, which check themselves; a None
+    in ``tree`` drops that key."""
     out = tmp_path / "out"
     with pytest.raises(ConfigError) as raised:
-        run_scenario(ScenarioConfig(**{**base, **fields}), out)
+        run_scenario(ScenarioConfig(**{**BUILT, **fields()}), out)
     assert raised.value.errors == [message]
     assert not out.exists()
+    with pytest.raises(ConfigError) as parsed:
+        parse_mapping({k: v for k, v in {**TREE, **tree}.items() if v is not None})
+    [error] = parsed.value.errors
+    assert error.endswith(message)
 
 
 def test_run_scenario_rejects_an_id_a_csv_cannot_print(tmp_path):
