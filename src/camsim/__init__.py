@@ -8,8 +8,9 @@ ledgers, wealth-distribution analysis, and a mean-reverting model of
 noisy price estimation. Checks that only the tests use (assignment net
 energy, stationarity and brute force, vectorized buyer counts, density
 mass and largest atom, the no-trade witness, pricing by a per-candidate
-scan and as solution records, every seller's offer, the round as a loop
-over the cells) live in ``tests/oracles.py``.
+scan and as solution records, every seller's offer, posting from the full
+pricing table, the round as a loop over the cells) live in
+``tests/oracles.py``.
 """
 
 from .analysis import (

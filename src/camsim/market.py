@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import EconomyConfig, autarky_energy, is_amount, is_count
-from .pricing import optimal_price_arrays
+from .pricing import first_offers
 
 DEFAULT_ENDOWMENT = 1e9
 
@@ -122,34 +122,22 @@ def post_offers(config: EconomyConfig) -> list[Offer]:
     """Per job, in job_id order, the first two offers in the order buyers take them.
 
     Every seller is priced against the density of all the job's break-evens,
-    ``config.densities``, which ``density.csv`` prints too. Its own atom
-    sits at its break-even, where ``optimal_price_arrays`` neither posts nor
+    ``config.conversion * config.costs``, the atoms ``density.csv`` prints.
+    Its own atom sits at its break-even, where pricing neither posts nor
     counts a buyer, so the density of the others would give the same price.
     Of the offers with positive profit, the first two by (price, seller
     cost, seller id) are kept: a buyer takes the first offer from someone
-    else, which is one of these two.
-
-    A solution depends only on the break-even's float value, so each job's
-    distinct break-evens, the density's atoms, are priced once by one
-    ``optimal_price_arrays`` call, O(A²) per job, and each seller takes its
-    own atom's solution. One ``np.lexsort`` over the profitable sellers'
-    rows ranks them; the rows run in sorted-id order, so the row is the id
-    tie-break.
+    else, which is one of these two. ``pricing.first_offers`` finds them
+    from each job's sorted break-evens, pricing only the cheapest atoms
+    that can still rank first or second; the rows run in sorted-id order,
+    so the row is the id tie-break.
     """
-    players = config.player_ids()
-    offers: list[Offer] = []
-    for c, jid in enumerate(config.job_ids()):
-        costs = config.costs[:, c]
-        break_evens = config.conversion * costs
-        density = config.densities[c]
-        price, _, profit = optimal_price_arrays(
-            density.prices, density, config.price_quantum
-        )
-        at = np.searchsorted(density.prices, break_evens)
-        rows = np.flatnonzero(profit[at] > 0)
-        first = rows[np.lexsort((rows, costs[rows], price[at[rows]]))[:2]]
-        offers += [Offer(players[r], jid, float(price[at[r]])) for r in first.tolist()]
-    return offers
+    players, jobs = config.player_ids(), config.job_ids()
+    cols, rows, prices = first_offers(config.costs, config.conversion, config.price_quantum)
+    return [
+        Offer(players[r], jobs[c], p)
+        for c, r, p in zip(cols.tolist(), rows.tolist(), prices.tolist())
+    ]
 
 
 _NO_DETAIL = {"trades": (), "self_productions": ()}

@@ -495,12 +495,29 @@ def _text_cells(texts: Sequence[str]) -> np.ndarray:
 Field = np.ndarray | tuple[Any, int]
 
 
-def _lines(shape: tuple[int, ...], *fields: Field) -> str:
-    """One CSV line per index of ``shape``, in row-major order: each field's
-    cells broadcast to ``shape + (their width,)``. A number field prints
-    through ``_fixed_cells``, or, when some cell of it is out of that
-    kernel's exact range, as the ``_text_cells`` of its f-strings; both give
-    the same bytes."""
+class _LineBuffer:
+    """One run's bytes for its blocks of CSV lines, grown only when a block
+    needs more. Freeing each block's bytes would hand the pages back to the
+    OS, past the allocator's trim threshold, and the next block would fault
+    them in again."""
+
+    def __init__(self) -> None:
+        self._bytes = np.empty(0, np.uint8)
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The buffer's first bytes as an uninitialised uint8 array of ``shape``."""
+        size = math.prod(shape)
+        if size > self._bytes.size:
+            self._bytes = np.empty(size, np.uint8)
+        return self._bytes[:size].reshape(shape)
+
+
+def _lines(buffer: _LineBuffer, shape: tuple[int, ...], *fields: Field) -> str:
+    """One CSV line per index of ``shape``, in row-major order, formatted in
+    ``buffer``: each field's cells broadcast to ``shape + (their width,)``. A
+    number field prints through ``_fixed_cells``, or, when some cell of it is
+    out of that kernel's exact range, as the ``_text_cells`` of its
+    f-strings; both give the same bytes."""
     cells = []
     for f in fields:
         if not isinstance(f, np.ndarray):
@@ -510,7 +527,7 @@ def _lines(shape: tuple[int, ...], *fields: Field) -> str:
                 f = _text_cells([f"{v:.{d}f}" for v in values.ravel().tolist()])
                 f = f.reshape(*values.shape, f.shape[-1])
         cells.append(f)
-    lines = np.empty((*shape, sum(c.shape[-1] + 1 for c in cells)), np.uint8)
+    lines = buffer.take((*shape, sum(c.shape[-1] + 1 for c in cells)))
     at = 0
     for c in cells:
         w = c.shape[-1]
@@ -543,17 +560,17 @@ def _savings_line(report: RoundReport) -> str:
     return f"{rnd},{autarky:.9f},{expended:.9f},{saved:.9f},{frac:.9f}\n"
 
 
-def _density_lines(config: EconomyConfig, d: int) -> _Pieces:
+def _density_lines(config: EconomyConfig, d: int, buffer: _LineBuffer) -> _Pieces:
     """density.csv as one text: each job's atoms, from ``config.densities``."""
     jobs, densities = config.job_ids(), config.densities
     job = np.repeat(np.arange(len(jobs)), [x.prices.size for x in densities])
     prices = np.concatenate([np.empty(0), *(x.prices for x in densities)])
     masses = np.concatenate([np.empty(0, np.int64), *(x.masses for x in densities)])
-    text = _lines(job.shape, _text_cells(jobs)[job], (prices, d), (masses, 0))
+    text = _lines(buffer, job.shape, _text_cells(jobs)[job], (prices, d), (masses, 0))
     return _Pieces(job.size, iter([text]))
 
 
-def _walk_lines(sc: ScenarioConfig) -> _Pieces:
+def _walk_lines(sc: ScenarioConfig, buffer: _LineBuffer) -> _Pieces:
     """walk.csv in blocks of ``_BLOCK_ROWS`` steps, each simulated as it is
     written: a trace's blocks draw from one generator, and each starts from
     the last value of the one before, so they are the trace drawn whole."""
@@ -568,7 +585,8 @@ def _walk_lines(sc: ScenarioConfig) -> _Pieces:
                 steps = min(_BLOCK_ROWS, walk.steps - first)
                 values = simulate_walk(walk.params, steps, rng, start=last).values
                 last = float(values[-1])
-                yield _lines((steps,), trace, (np.arange(first, first + steps), 0), (values, 9))
+                step = (np.arange(first, first + steps), 0)
+                yield _lines(buffer, (steps,), trace, step, (values, 9))
 
     return _Pieces(walk.traces * -(-walk.steps // _BLOCK_ROWS), blocks())
 
@@ -606,9 +624,10 @@ def run_scenario(
     trades and savings CSVs, and ``observe(report, config)``, when given,
     sees its report. Each round's ledgers are copied into a block of at
     most ``_BLOCK_ROWS`` wealth rows, whose text is written when the block
-    is full and after the last round. No round's state or report outlives
-    the round, and only the last distinct trades' lines do, so memory does
-    not grow with the number of rounds.
+    is full and after the last round; every wealth, walk and density block
+    is formatted in one ``_LineBuffer``. No round's state or report
+    outlives the round, and only the last distinct trades' lines do, so
+    memory does not grow with the number of rounds.
 
     Returns the paths written (``paths``), the economy (``config``), the
     trades over all rounds (``n_trades``), and the per-round energy of the
@@ -635,14 +654,15 @@ def run_scenario(
     d = _price_decimals(sc.price_quantum)
     n_trades = 0
     ids = _text_cells(config.player_ids())
+    buffer = _LineBuffer()
     block = np.empty((min(sc.rounds, max(1, _BLOCK_ROWS // (len(ids) or 1))), 3, len(ids)))
     with ExitStack() as files:
         sinks = {}
         for kind, path in paths.items():
             if kind == "density":
-                export_csv(_density_lines(config, d), HEADERS[kind], path)
+                export_csv(_density_lines(config, d, buffer), HEADERS[kind], path)
             elif kind == "walk":
-                export_csv(_walk_lines(sc), HEADERS[kind], path)
+                export_csv(_walk_lines(sc, buffer), HEADERS[kind], path)
             else:
                 with _writing(path):
                     sinks[kind] = files.enter_context(_open(path, HEADERS[kind]))
@@ -675,7 +695,7 @@ def run_scenario(
                     first = state.round - k + 1
                     rounds = _text_cells([str(r) for r in range(first, first + k)])
                     fields = rounds[:, None], ids, (money, d), (spent, 9), (saved, 9)
-                    write("wealth", _lines((k, len(ids)), *fields))
+                    write("wealth", _lines(buffer, (k, len(ids)), *fields))
             if "savings" in sinks:
                 write("savings", _savings_line(report))
         for kind, fh in sinks.items():

@@ -428,3 +428,23 @@ def density_lines(sc: ScenarioConfig, config: EconomyConfig) -> list[str]:
         density = build_price_density(config.conversion * config.costs[:, c])
         lines += [f"{jid},{price:.{d}f},{mass}\n" for price, mass in atoms(density)]
     return lines
+
+
+def post_offers_by_full_table(config: EconomyConfig) -> list[Offer]:
+    """post_offers from every seller's price: per job, its distinct
+    break-evens priced by one ``optimal_price_arrays`` call, O(A²), and one
+    ``np.lexsort`` of the profitable sellers by (price, cost, row)."""
+    players = config.player_ids()
+    offers: list[Offer] = []
+    for c, jid in enumerate(config.job_ids()):
+        costs = config.costs[:, c]
+        break_evens = config.conversion * costs
+        density = build_price_density(break_evens)
+        price, _, profit = optimal_price_arrays(
+            density.prices, density, config.price_quantum
+        )
+        at = np.searchsorted(density.prices, break_evens)
+        rows = np.flatnonzero(profit[at] > 0)
+        first = rows[np.lexsort((rows, costs[rows], price[at[rows]]))[:2]]
+        offers += [Offer(players[r], jid, float(price[at[r]])) for r in first.tolist()]
+    return offers

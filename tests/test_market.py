@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,12 @@ from camsim import (
     Player,
     conservation_check,
     execute_round,
-    optimal_price_arrays,
     post_offers,
+    pricing,
     run_market,
 )
-from tests.oracles import execute_round_by_cell, ranked_offers
+from tests.oracles import execute_round_by_cell, post_offers_by_full_table, ranked_offers
+from tests.test_pricing import nudge
 
 
 def zero_cost_config():
@@ -164,37 +166,164 @@ def three_hundred_players() -> EconomyConfig:
 
 
 def test_post_offers_prices_each_distinct_break_even_once(monkeypatch):
-    """One optimal_price_arrays call per job, on that job's distinct break-evens.
+    """Each step prices the next distinct break-even of every open job, at
+    most _MAX_STEPS of them, and no job falls back to the whole table.
 
     The 300 players' break-evens are all distinct. In a copy where each
     player takes the efficiencies of one of the first three, a hundred
     sellers share each of three atoms per job.
     """
-    calls = []
+    steps = []
+    price_step = pricing._price_step
 
-    def recording(break_evens, density, quantum):
-        calls.append(np.asarray(break_evens).tolist())
-        return optimal_price_arrays(break_evens, density, quantum)
+    def recording(atoms, buyers, break_evens, quantum):
+        steps.append(break_evens.tolist())
+        return price_step(atoms, buyers, break_evens, quantum)
 
-    monkeypatch.setattr("camsim.market.optimal_price_arrays", recording)
+    def whole_table(*args):
+        raise AssertionError("a job fell back to optimal_price_arrays")
+
+    monkeypatch.setattr(pricing, "_price_step", recording)
+    monkeypatch.setattr(pricing, "optimal_price_arrays", whole_table)
     config = three_hundred_players()
     eff = config.efficiencies
     repeated = dataclasses.replace(config, efficiencies=eff[np.arange(len(eff)) % 3])
     for cfg in (config, repeated):
-        calls.clear()
-        post_offers(cfg)
-        expected = [
+        steps.clear()
+        offers = post_offers(cfg)
+        atoms = [
             sorted(set((cfg.conversion * cfg.costs[:, c]).tolist()))
             for c in range(len(cfg.job_ids()))
         ]
-        assert calls == expected
-    assert [len(c) for c in calls] == [3, 3, 3]
-    ranked = ranked_offers(repeated)
-    expected = []
-    for jid in repeated.job_ids():
-        expected += [o for o in ranked if o.job == jid][:2]
-    assert post_offers(repeated) == expected
+        assert 1 <= len(steps) <= pricing._MAX_STEPS
+        assert steps[0] == [a[0] for a in atoms]
+        for k, priced in enumerate(steps):
+            assert set(priced) <= {a[k] for a in atoms if k < len(a)}
+        ranked = ranked_offers(cfg)
+        expected = []
+        for jid in cfg.job_ids():
+            expected += [o for o in ranked if o.job == jid][:2]
+        assert offers == expected
 
+
+def one_job_of(break_evens: list[float], quantum: float) -> EconomyConfig:
+    """One job of workload 1 whose players' costs are about ``break_evens``."""
+    return EconomyConfig.of(
+        players=[Player(f"P{i:02d}", {"x": 1.0 / b}) for i, b in enumerate(break_evens)],
+        jobs=[JobSpec("x", 1.0)],
+        demand=1,
+        price_quantum=quantum,
+    )
+
+
+@st.composite
+def tied_ladders(draw):
+    """Atoms b0 < a1 < a2 of masses m0, m1, m2, with a1 - q - b0 = r·q·m2 and
+    a2 - q - b0 = r·q·(m1 + m2), give b0 the gain r·q·m2·(m1 + m2) at both
+    a1 - q and a2 - q, exactly. Each atom, and then each player, is moved a
+    few floats, so that either gain can win by a margin below or above the
+    slack; a few other atoms join above b0."""
+    q = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    b0 = draw(st.integers(1, 8)) * q
+    r = draw(st.integers(1, 4))
+    m0, m1, m2 = (draw(st.integers(1, 3)) for _ in range(3))
+    ladder = [(b0, m0), (b0 + q + r * q * m2, m1), (b0 + q + r * q * (m1 + m2), m2)]
+    break_evens = []
+    for value, mass in ladder:
+        value = nudge(value, draw(st.integers(-24, 24)))
+        break_evens += [nudge(value, draw(st.integers(-1, 1))) for _ in range(mass)]
+    break_evens += draw(st.lists(st.floats(b0, 4 * ladder[-1][0]), max_size=3))
+    return one_job_of(break_evens, q)
+
+
+@st.composite
+def adjacent_candidates(draw):
+    """Three to five cheap rows in [1, 2) below two to four atoms one float
+    apart, whose candidates have the same buyers, so each cheap row's best
+    gains differ by an ulp or less. c - b rounds at four times b's ulp, so
+    a tie to even merges two candidates' gains for some rows and not for
+    others, and a dearer row can post below a cheaper one (as in
+    test_dearer_producer_can_post_the_lower_price)."""
+    q = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    cheap = draw(st.lists(st.floats(1.0, 2.0, exclude_max=True), min_size=3, max_size=5))
+    top = draw(st.floats(q + 6.0, q + 8.0, exclude_max=True))
+    return one_job_of(cheap + [nudge(top, i) for i in range(draw(st.integers(2, 4)))], q)
+
+
+# The cheapest rows, the first that can certify a floor, with their best gain
+# a few ulps from the best gain at a lower candidate.
+near_tie_economies = st.one_of(tied_ladders(), adjacent_candidates())
+
+
+@given(config=near_tie_economies)
+@settings(max_examples=300, deadline=None)
+def test_near_ties_at_the_certified_row_post_the_full_tables_offers(config):
+    ranked = ranked_offers(config)
+    assert post_offers(config) == post_offers_by_full_table(config) == ranked[:2]
+
+
+def test_every_job_falling_back_posts_the_same_offers(monkeypatch):
+    """With a slack no gain can beat no row certifies, so each job, with 300
+    distinct and profitable break-evens, is still open after _MAX_STEPS
+    atoms and is priced by the whole table."""
+    config = three_hundred_players()
+    expected = post_offers(config)
+    whole_table, calls = pricing.optimal_price_arrays, []
+
+    def recording(*args):
+        calls.append(args[0].size)
+        return whole_table(*args)
+
+    monkeypatch.setattr(pricing, "_SLACK", 1.0)
+    monkeypatch.setattr(pricing, "optimal_price_arrays", recording)
+    assert post_offers(config) == expected == post_offers_by_full_table(config)
+    assert calls == [300, 300, 300]
+
+
+def test_a_job_whose_cheapest_atom_earns_nothing_posts_after_one_atom(monkeypatch):
+    """Break-evens 1, 1.5 and 2 with a quantum of 1: no candidate exceeds 1,
+    so the cheapest atom earns nothing, and then no dearer atom can."""
+    steps = []
+    price_step = pricing._price_step
+
+    def recording(atoms, buyers, break_evens, quantum):
+        steps.append(break_evens.tolist())
+        return price_step(atoms, buyers, break_evens, quantum)
+
+    monkeypatch.setattr(pricing, "_price_step", recording)
+    config = EconomyConfig.of(
+        players=[Player(f"P{i}", {"x": eff}) for i, eff in enumerate((3.0, 2.0, 1.5))],
+        jobs=[JobSpec("x", 3.0)],
+        demand=1,
+        price_quantum=1.0,
+    )
+    assert config.costs.ravel().tolist() == [1.0, 1.5, 2.0]
+    assert post_offers(config) == [] == post_offers_by_full_table(config)
+    assert steps == [[1.0]]
+
+
+def test_posting_2000_players_by_20_jobs_holds_no_table():
+    """The full table's offers, at a tracemalloc peak of 1.42 MiB measured
+    here; pricing every atom from the full table, with the densities built
+    beforehand, peaked at 2.3 MiB."""
+    rng = np.random.default_rng(42)
+    config = EconomyConfig(
+        [f"P{i:04d}" for i in range(2000)],
+        [f"j{k:02d}" for k in range(20)],
+        rng.uniform(0.5, 2.0, (2000, 20)),
+        np.arange(1.0, 21.0),
+        demand=1,
+    )
+    offers = post_offers(config)
+    tracemalloc.start()
+    try:
+        post_offers(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert offers == post_offers_by_full_table(config)
+    assert len(offers) == 40
+    assert peak < 2 * 2**20
 
 
 def test_post_offers_imports_nothing():

@@ -584,8 +584,9 @@ def test_a_scalar_demand_runs_as_its_cells_spelled_out(sc, units):
 
 
 def test_each_job_density_is_built_once_per_config(tmp_path, monkeypatch):
-    """post_offers and density.csv share each job's density, and
-    export_csv gets density.csv as one text whose len() is its lines."""
+    """density.csv builds each job's density once, and posting, the no-trade
+    variants' included, builds none; export_csv gets density.csv as one text
+    whose len() is its lines."""
     built, rows = [], []
 
     def counted(costs):
@@ -603,7 +604,7 @@ def test_each_job_density_is_built_once_per_config(tmp_path, monkeypatch):
     assert built == [3, 3, 3]
     assert rows == [len(result["paths"]["density"].read_text().splitlines()) - 1]
     assert _no_trade_failures(result["config"]) == []  # two configs more
-    assert built == [3] * 9
+    assert built == [3, 3, 3]
 
 
 def no_players(jobs: list[JobSpec], outputs: list[str]) -> ScenarioConfig:
