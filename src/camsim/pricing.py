@@ -225,9 +225,11 @@ def _first_offers(
         open_, first, low, second, floor = [x[keep] for x in (open_, end, low, second, floor)]
         if not open_.size:
             break
+    done = np.ones(m, bool)
+    done[open_] = False
     sellers = []
     for job, b, price in runs:  # each atom's sellers, by row
-        stopped = ~np.isin(job, open_)
+        stopped = done[job]
         at, row = np.nonzero(be[job[stopped]] == b[stopped, None])
         sellers.append((job[stopped][at], row, price[stopped][at]))
     for j in open_.tolist():  # still open: price every atom
@@ -256,8 +258,9 @@ def _price_step(
     k = gains.argmax(axis=1)
     at = np.arange(k.size)
     best = gains[at, k]
-    gains[np.arange(gains.shape[1]) >= k[:, None]] = 0.0  # leave the gains below k
-    threshold = best * (1 - _SLACK)
-    certified = (gains.max(axis=1) < threshold) & (threshold >= _TINY) & (threshold < np.inf)
+    threshold = best * (1 - _SLACK)  # at most best, so k reaches it
+    # Every gain below k is under the threshold when k is the first to reach it.
+    first = (gains >= threshold[:, None]).argmax(axis=1)
+    certified = (first == k) & (threshold >= _TINY) & (threshold < np.inf)
     return atoms[at, k] - quantum, best, certified
 

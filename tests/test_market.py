@@ -303,7 +303,7 @@ def test_a_job_whose_cheapest_atom_earns_nothing_posts_after_one_atom(monkeypatc
 
 
 def test_posting_2000_players_by_20_jobs_holds_no_table():
-    """The full table's offers, at a tracemalloc peak of 1.42 MiB measured
+    """The full table's offers, at a tracemalloc peak of 1.34 MiB measured
     here; pricing every atom from the full table, with the densities built
     beforehand, peaked at 2.3 MiB."""
     rng = np.random.default_rng(42)
