@@ -132,8 +132,20 @@ class _Uniform(Mapping):
         return itertools.product(self._rows, self._cols)
 
 
-# The rows whose products the autarky sum converts to Python floats at a time.
+# The rows whose products exact_sum converts to Python floats at a time.
 _SUM_ROWS = 4096
+
+
+def exact_sum(*factors: np.ndarray) -> float:
+    """The sum of the cellwise product of ``factors``, arrays of one shape,
+    rounded once: ``math.fsum`` of the products, made and converted to
+    Python floats ``_SUM_ROWS`` rows at a time. fsum is exact, so the blocks
+    add as one list of every product would, without the list."""
+    blocks = (
+        functools.reduce(np.multiply, [f[r : r + _SUM_ROWS] for f in factors]).ravel().tolist()
+        for r in range(0, len(factors[0]), _SUM_ROWS)
+    )
+    return math.fsum(itertools.chain.from_iterable(blocks))
 
 
 @dataclass(eq=False)
@@ -285,13 +297,7 @@ class EconomyConfig:
         else:
             self.units = np.full((n, m), float(uniform) if n * m else 0.0)
         self.units.flags.writeable = False
-        # fsum is exact, so summing the products a row block at a time adds
-        # them as one list would, without the list.
-        products = (
-            (self.units[r : r + _SUM_ROWS] * self.costs[r : r + _SUM_ROWS]).ravel().tolist()
-            for r in range(0, n, _SUM_ROWS)
-        )
-        self._autarky = math.fsum(itertools.chain.from_iterable(products))
+        self._autarky = exact_sum(self.units, self.costs)
 
     @functools.cached_property
     def densities(self) -> list[PriceDensity]:

@@ -13,7 +13,9 @@ they are posted once and reused across rounds. A round is decided in
 arrays: the offers fix which offer each (player, job) cell would take, and
 only the buyers' balances decide whether it can. The ledgers get the float
 additions of a loop over the cells, in its order, so they equal that loop's
-bit for bit; the loop is kept as the tests' oracle.
+bit for bit; the loop is kept as the tests' oracle. Most rounds decide as
+the one before: such a round is verified in one array pass and pays the
+transfers the last round's outcome kept (see ``_RoundPlan.decide``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EconomyConfig, autarky_energy, is_amount, is_count
+from .core import EconomyConfig, autarky_energy, exact_sum, is_amount, is_count
 from .pricing import first_offers
 
 DEFAULT_ENDOWMENT = 1e9
@@ -149,6 +151,10 @@ class _Outcome:
 
     ``spent`` and ``saved`` are the (players, amounts) to add to those
     ledgers, in cell order; ``counts`` and ``detail`` are RoundReport fields.
+    ``repeat``, when every seller afforded all its wanted cells, is what
+    ``_RoundPlan.decide`` needs to verify and pay a round that decides the
+    same: the bought cells, each cell's paid total (0.0 where not bought),
+    and the players and amounts of the round's transfers.
     """
 
     decisions: bytes
@@ -156,6 +162,7 @@ class _Outcome:
     saved: tuple[np.ndarray, np.ndarray]
     counts: dict[str, int | float]
     detail: dict[str, tuple] | None = None
+    repeat: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 class _RoundPlan:
@@ -222,8 +229,31 @@ class _RoundPlan:
         balance affords them all. The other sellers (there are at most two
         per job) are decided again, one at a time in row order, each once
         the transfers of every earlier row are in ``money``.
+
+        A round that decides as the one before is verified in one pass. When
+        the last outcome kept its ``repeat`` (no price is negative and no
+        seller was short), every row's balance before each column is taken
+        under the guess B, the last bought cells: one ``np.subtract.accumulate``
+        over the jobs, from the start balance, of the kept totals, ``total``
+        where B buys and 0.0 elsewhere. Subtracting 0.0 leaves any float as
+        it is, so each step is the column pass's ``left - total`` where B
+        buys and ``left`` where it does not. If ``wants & ~(left < total)``
+        equals B in every cell, then by induction over the columns the
+        column pass gives B: column 0 reads the start balance, and if the
+        columns before c gave B, column c reads the balance the guess gave,
+        so it gives B too. B left no seller short, so no row is decided
+        again, and the round's one remaining step is ``_transfer`` of every
+        row, whose players and amounts the outcome kept. Otherwise the round
+        is decided as above.
         """
         wants, total = self.wants, self.total
+        repeat = self.last and self.last.repeat
+        if repeat:
+            bought, kept, at, amounts = repeat
+            left = np.subtract.accumulate(np.concatenate((money[None], kept)))[:-1].T
+            if not ((wants & ~(left < total)) != bought).any():
+                np.add.at(money, at, amounts)
+                return bought
         buy = np.zeros_like(wants)
         left = money
         for c in range(wants.shape[1]):
@@ -245,13 +275,17 @@ class _RoundPlan:
 
     def _transfer(self, buy: np.ndarray, money: np.ndarray, lo: int, hi: int) -> None:
         """Pay for the bought cells of rows lo to hi, in cell order."""
+        np.add.at(money, *self._payments(buy, lo, hi))
+
+    def _payments(self, buy: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The players and amounts of ``_transfer(buy, money, lo, hi)``, in order."""
         cells = np.flatnonzero(buy[lo:hi]) + lo * buy.shape[1]
         paid = self.total.ravel()[cells]
         at = np.empty(2 * len(cells), dtype=cells.dtype)
         amounts = np.empty(2 * len(cells))
         at[0::2], at[1::2] = cells // buy.shape[1], self.seller.ravel()[cells]
         amounts[0::2], amounts[1::2] = -paid, paid
-        np.add.at(money, at, amounts)
+        return at, amounts
 
     def outcome(self, buy: np.ndarray, record_detail: bool):
         """What the decisions ``buy`` fix, besides the transfers.
@@ -312,6 +346,10 @@ class _RoundPlan:
                     for (player, job, n), energy, f in selfs
                 ),
             }
+        repeat = None
+        if self.earn_only and not (self.wants[self.sellers] & ~buy[self.sellers]).any():
+            kept = np.where(buy, self.total, 0.0).T.copy()  # jobs x players
+            repeat = (buy, kept, *self._payments(buy, 0, len(buy)))
         return _Outcome(
             decisions=buy.tobytes(),
             spent=(spent_at, spent),
@@ -319,11 +357,12 @@ class _RoundPlan:
             counts={
                 "n_trades": len(bought),
                 "n_forced": int(np.count_nonzero(self.wants & ~buy)),
-                "money_delta_total": math.fsum(np.concatenate((-paid, paid)).tolist()),
-                "energy_expended_total": math.fsum(spent.tolist()),
-                "energy_saved_total": math.fsum(system_saved.tolist()),
+                "money_delta_total": exact_sum(np.concatenate((-paid, paid))),
+                "energy_expended_total": exact_sum(spent),
+                "energy_saved_total": exact_sum(system_saved),
             },
             detail=detail,
+            repeat=repeat,
         )
 
 

@@ -51,7 +51,7 @@ from .market import (
 )
 from .walk import WalkParams, derive_trace_seed, simulate_walk
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Carries every validation problem found in a scenario."""
 
     def __init__(self, errors: list[str]):
@@ -119,8 +119,9 @@ class ScenarioConfig:
 
 
 # A rule returns the checked value of one config entry. It raises ValueError
-# for one problem, or ConfigError for several, each worded as the rest of the
-# sentence that follows the entry's name (" must be ...", ": unknown key ...").
+# for one problem, or ConfigError (a ValueError) for several, each worded as
+# the rest of the sentence that follows the entry's name (" must be ...",
+# ": unknown key ...").
 Rule = Callable[[Any], Any]
 
 
@@ -128,10 +129,10 @@ def _apply(rule: Rule, value: Any, name: str, errors: list[str]) -> Any:
     """rule(value), or None with each problem appended to errors under name."""
     try:
         return rule(value)
-    except ValueError as exc:
-        errors.append(f"{name}{exc}")
     except ConfigError as exc:
         errors += [f"{name}{e}" for e in exc.errors]
+    except ValueError as exc:
+        errors.append(f"{name}{exc}")
     return None
 
 
@@ -269,6 +270,11 @@ _POPULATION_RULES = {
     "efficiency_distribution": str,
     "params": _mapping(PARAM_RULES),
 }
+WALK_PARAM_RULES = {
+    "true_price": _NONNEGATIVE,
+    "eta": _number(" in (0, 2)", lambda v: 0 < v < 2),
+    "sigma": _NONNEGATIVE,
+}
 _WALK_RULES = {"steps": _integer(1), "traces": _integer(1)}
 _SCALAR_RULES = {
     "conversion": _POSITIVE,
@@ -302,12 +308,7 @@ SCENARIO_RULE = _mapping(
         "population": _mapping(_POPULATION_RULES, tuple(_POPULATION_RULES), PopulationSpec),
         "demand": _demand,
         "walk": _mapping(
-            {
-                "true_price": _NONNEGATIVE,
-                "eta": _number(" in (0, 2)", lambda v: 0 < v < 2),
-                "sigma": _NONNEGATIVE,
-                **_WALK_RULES,
-            },
+            {**WALK_PARAM_RULES, **_WALK_RULES},
             ("true_price", "eta", "sigma"),
             lambda steps=1000, traces=1, **p: WalkRun(WalkParams(**p), steps, traces),
         ),
@@ -425,12 +426,28 @@ class _Pieces:
 
 # Cells formatted in arrays. _PAD fills the bytes a shorter cell leaves
 # unused; it never occurs in UTF-8, so one boolean compaction drops it from
-# finished lines. _DIGITS[c] is the four ASCII digits of 0 <= c < 10**4, as
-# one 4-byte word.
+# finished lines. A cell is printed in 4-byte words, each the ASCII bytes
+# of a chunk 0 <= c < 10**4 of its digits, looked up in one table:
+# _DIGITS[c] is c's four digits. _LEADING[c] is the same with its leading
+# zeros as _PAD (all _PAD for c = 0: a word above a cell's digits), and
+# _UNITS[c] as _LEADING[c] but "0" for c = 0; each goes on with _DIGITS,
+# so a word with digits above it is at 10**4 + c. _DOTTED[c], c < 10**3,
+# is "." and c's three digits.
 _PAD = 0xFF
-_DIGITS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
-_DIGITS = _DIGITS.reshape(10**4, 4).view(np.uint32).ravel()
-_POW10 = 10 ** np.arange(16, dtype=np.int64)  # every integer below 2**52 has <= 16 digits
+_digits = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+_digits = _digits.reshape(10**4, 4)
+_leading = _digits.copy()
+for _k in range(4):
+    _leading[: 10 ** (3 - _k), _k] = _PAD  # byte k is a leading zero of c < 10**(3 - k)
+_units = _leading.copy()
+_units[0, -1] = ord("0")
+_dotted = _digits[: 10**3].copy()
+_dotted[:, 0] = ord(".")
+_WORDS = np.concatenate((_leading, _digits, _units, _digits, _dotted)).view(np.uint32).ravel()
+_WORDS.flags.writeable = False
+_LEADING, _DIGITS = _WORDS[: 2 * 10**4], _WORDS[10**4 : 2 * 10**4]
+_UNITS, _DOTTED = _WORDS[2 * 10**4 : 4 * 10**4], _WORDS[4 * 10**4 :]
+del _digits, _leading, _units, _dotted, _k
 # The wealth.csv and walk.csv rows formatted as one block.
 _BLOCK_ROWS = 2048
 
@@ -440,16 +457,23 @@ def _fixed_cells(values: np.ndarray, d: int) -> np.ndarray | None:
 
     Returns uint8 cells of shape ``values.shape + (width,)``: each cell's
     characters in order, with ``_PAD`` bytes where it is shorter than the
-    widest. None when some cell is out of the exact range: not finite, or
-    ``|v|·10**d >= 2**52``.
+    widest or its words hold no digit. None when some cell is out of the
+    exact range: not finite, or ``|v|·10**d >= 2**52``.
 
     ``p = |v|·10**d`` is the exact product P rounded once. Below 2**52 every
     half-integer is a float, and rounding to nearest never steps over a
     float, so ``rint(p)`` is P rounded half to even unless p is itself a
     half-integer. There P may lie either side of p, so those few cells take
-    their digits from Python's own f-string. The integer digits are counted
-    by exact comparisons with powers of ten, and the sign is the sign bit,
-    so ``-0.0`` prints ``-0``.
+    their digits from Python's own f-string. The rounded integer q is split
+    once into its integer part and its d fraction digits. The integer part
+    is printed in as many words as the largest one needs, lowest first: a
+    word with digits above it shows all four of its digits, and the others
+    show theirs without leading zeros (the units word keeps a "0"). The
+    fraction, with zeros after it so that "." and its digits fill whole
+    words, is printed lowest word first, the top one with its "." from
+    ``_DOTTED``; the bytes that no cell prints, those zeros and the widest
+    integer part's leading ``_PAD``, are cut off. The sign is the sign bit,
+    so ``-0.0`` prints ``-0``; a block without one has no sign column.
     """
     v = np.asarray(values, dtype=np.float64)
     if d > 22:  # 10**d is a float exactly up to 10**22
@@ -462,23 +486,34 @@ def _fixed_cells(values: np.ndarray, d: int) -> np.ndarray | None:
     half = np.flatnonzero(np.abs(p - r) == 0.5)
     if half.size:
         r.flat[half] = [int(f"{x:.{d}f}".replace(".", "")) for x in np.abs(v.flat[half]).tolist()]
-    q, n = r.astype(np.int64).ravel(), r.size
-    whole = np.maximum(np.searchsorted(_POW10, q, side="right") - d, 1)
-    m = int(whole.max(initial=1))
-    words = np.empty((n, -(-(m + d) // 4)), np.uint32)
-    for j in reversed(range(words.shape[1])):
-        high = q // 10**4
-        words[:, j] = _DIGITS[q - high * 10**4]
-        q = high
-    digits = words.view(np.uint8)[:, -(m + d) :]
-    cells = np.empty((n, 1 + m + (d > 0) + d), np.uint8)
-    cells[:, 0] = np.where(np.signbit(v).ravel(), ord("-"), _PAD)
-    cells[:, 1 : m + 1] = digits[:, :m]
-    for j in range(m - int(whole.min(initial=m))):  # leading zeros
-        cells[whole < m - j, 1 + j] = _PAD
+    # q < 2**52 < 10**16, so for every d >= 16 q's integer part is 0.
+    q, scale = r.astype(np.int64).ravel(), 10 ** min(d, 16)
+    whole = q // scale
+    # The d fraction digits, then t zeros, so that "." and the digits fill
+    # whole words; the zeros are cut off again. frac < 2**52·10**3 < 2**63.
+    t = -(d + 1) % 4 if d else 0
+    frac = (q - whole * scale) * 10**t
+    m = len(str(int(whole.max(initial=0))))
+    high, low = -(-m // 4), -(-(d + 1) // 4) if d else 0
+    words = np.empty((q.size, high + low), np.uint32)
+    for j in reversed(range(high)):
+        # w = 10**4·h + c, and w >= 10**4 + c exactly when h > 0.
+        w, whole = whole, whole // 10**4
+        at = np.minimum(w, w - whole * 10**4 + 10**4)
+        words[:, j] = (_UNITS if j == high - 1 else _LEADING)[at]
+    for j in reversed(range(high + 1, high + low)):
+        w, frac = frac, frac // 10**4
+        words[:, j] = _DIGITS[w - frac * 10**4]
     if d:
-        cells[:, m + 1] = ord(".")
-        cells[:, m + 2 :] = digits[:, m:]
+        words[:, high] = _DOTTED[frac]
+    # No cell has digits in the widest one's leading _PAD bytes. The cells
+    # are copied out of the words, so a block holds none of the bytes cut.
+    cells = words.view(np.uint8)[:, 4 * high - m : 4 * (high + low) - t]
+    sign = np.signbit(v).ravel()
+    if sign.any():
+        cells = np.column_stack((np.where(sign, np.uint8(ord("-")), np.uint8(_PAD)), cells))
+    else:
+        cells = cells.copy()
     return cells.reshape(*v.shape, cells.shape[1])
 
 

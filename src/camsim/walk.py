@@ -20,7 +20,6 @@ seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +27,17 @@ import numpy as np
 
 @dataclass(frozen=True)
 class WalkParams:
+    """A walk's parameters. Built in code, they hold to the YAML's rules
+    (``scenario.WALK_PARAM_RULES``) and raise its ConfigError."""
+
     true_price: float
     eta: float
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.eta < 2):
-            raise ValueError(f"eta must be in (0, 2), got {self.eta}")
-        if self.sigma < 0 or not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if self.true_price < 0 or not math.isfinite(self.true_price):
-            raise ValueError(f"true_price must be finite and >= 0, got {self.true_price}")
+        from .scenario import WALK_PARAM_RULES, _check_fields  # scenario imports this module
+
+        _check_fields(self, WALK_PARAM_RULES)
         # A -0.0 true price walks from 0.0, so walk.csv never prints -0.
         object.__setattr__(self, "true_price", self.true_price + 0.0)
 

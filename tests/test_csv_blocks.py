@@ -2,6 +2,7 @@
 an exact fixed-point kernel. These tests hold the kernel to Python's own
 ``f"{v:.{d}f}"`` and the blocks to the per-cell oracle."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,10 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import camsim
-from camsim import scenario
+from camsim import market, scenario
 from camsim.cli import main
 from camsim.scenario import _PAD, _fixed_cells, artifact_digests, parse_mapping, run_scenario
 from tests.oracles import run_scenario_by_cell
+from tests.test_market import count_repeats
 from tests.test_scenario import ALTERNATING, assert_same_bytes, golden_with, small_scenarios
 
 DATA = Path(__file__).parent / "data"
@@ -71,6 +73,40 @@ def test_fixed_cells_print_as_python_does(block):
     assert (texts is None) == any(not abs(v) * 10.0**d < 2.0**52 for v in values)
     if texts is not None:
         assert texts == [f"{v:.{d}f}" for v in values]
+
+
+# Integer parts that end on a 4-digit word's boundary, or one past it.
+WORD_EDGES = [9999.5, 10000.0, 10.0**8 - 1, 10.0**8, 9999.0, 0.0, 0.5, 0.25, 1234.5678]
+
+
+@pytest.mark.parametrize("signs", ["positive", "mixed"])
+@pytest.mark.parametrize("d", range(8))
+def test_cells_at_word_edges_print_as_python_does(d, signs):
+    """Every d % 4, twice, with integer parts of 1, 4, 5, 8 and 9 digits.
+    The cells are as wide as the widest without its sign, plus a sign column
+    only in a block with a negative cell."""
+    values = WORD_EDGES if signs == "positive" else [-v for v in WORD_EDGES[::2]] + WORD_EDGES[1::2]
+    assert cell_texts(values, d) == [f"{v:.{d}f}" for v in values]
+    width = max(len(f"{abs(v):.{d}f}") for v in values) + (signs == "mixed")
+    assert _fixed_cells(np.array(values), d).shape == (len(values), width)
+
+
+def test_a_block_of_2048_rows_and_three_fields_peaks_below_the_digit_kernel():
+    """One wealth block of 2,048 lines: money at 2 decimals and two energies
+    at 9, formatted in a fresh buffer. Its tracemalloc peak was at most
+    339,902 bytes in three runs when the kernel printed a digit at a time,
+    and is 321,030 bytes with words."""
+    rng = np.random.default_rng(0)
+    fields = [(rng.uniform(0.0, hi, 2048), d) for hi, d in ((2e4, 2), (5e4, 9), (3e3, 9))]
+    scenario._lines(scenario._LineBuffer(), (2048,), *fields)  # warm-up
+    tracemalloc.start()
+    try:
+        text = scenario._lines(scenario._LineBuffer(), (2048,), *fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 2048
+    assert peak <= 339_902
 
 
 def test_fixed_cells_refuse_what_is_not_finite():
@@ -151,6 +187,34 @@ def test_bench_workloads_shortened_match_the_per_cell_oracle(tmp_path, workload)
     sc = parse_mapping(raw)
     paths = run_scenario(sc, tmp_path / "run")["paths"]
     assert_same_bytes(paths, run_scenario_by_cell(sc, tmp_path / "oracle"))
+
+
+@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda p: p.stem)
+def test_bench_workloads_shortened_write_the_same_bytes_without_the_repeat_check(
+    tmp_path, monkeypatch, workload
+):
+    """With no outcome keeping what the repeat check needs, every round is
+    decided column by column, and the shortened workloads write the same
+    bytes as with the check."""
+    raw = yaml.safe_load(workload.read_bytes())
+    raw["rounds"] = 30
+    if "walk" in raw:
+        raw["walk"]["steps"] = 3000
+    sc = parse_mapping(raw)
+    passed = count_repeats(monkeypatch)
+    checked = run_scenario(sc, tmp_path / "checked")["paths"]
+    assert sum(passed) == 29  # every round after the first repeats it
+    passed.clear()
+    outcome = market._RoundPlan._outcome
+    monkeypatch.setattr(
+        market._RoundPlan,
+        "_outcome",
+        lambda plan, buy, record_detail: dataclasses.replace(
+            outcome(plan, buy, record_detail), repeat=None
+        ),
+    )
+    assert_same_bytes(run_scenario(sc, tmp_path / "unchecked")["paths"], checked)
+    assert len(passed) == 30 and not any(passed)
 
 
 # The fields the kernel refuses, by decimals: every one, or some, so that

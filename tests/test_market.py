@@ -20,10 +20,12 @@ from camsim import (
     Player,
     conservation_check,
     execute_round,
+    market,
     post_offers,
     pricing,
     run_market,
 )
+from camsim.scenario import build_economy, load_config
 from tests.oracles import execute_round_by_cell, post_offers_by_full_table, ranked_offers
 from tests.test_pricing import nudge
 
@@ -492,6 +494,65 @@ def test_reused_detail_then_a_binding_budget(golden):
     assert [r.n_forced for r in reports] == [0, 0, 2, 2]
     assert reports[1].trades is reports[0].trades
     assert reports[3].self_productions is reports[2].self_productions
+
+
+def count_repeats(monkeypatch) -> list[bool]:
+    """Whether each round's decide passed by the repeat check, in round order."""
+    passed = []
+    decide = market._RoundPlan.decide
+
+    def counting(plan, money):
+        repeat = plan.last and plan.last.repeat
+        buy = decide(plan, money)
+        passed.append(bool(repeat) and buy is repeat[0])
+        return buy
+
+    monkeypatch.setattr(market._RoundPlan, "decide", counting)
+    return passed
+
+
+@given(
+    config=economies(),
+    data=st.data(),
+    rounds=st.integers(3, 8),
+    record_detail=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_rounds_that_repeat_until_a_budget_binds_match_the_per_cell_loop(
+    config, data, rounds, record_detail
+):
+    """Each buyer starts with k >= 2 rounds of its purchases and a part of
+    one more, so its budget binds only after k rounds that decide alike and
+    pass the repeat check. Some sellers start with less than one round's
+    purchases, so they are short until what they earn covers them."""
+    offers = data.draw(st.sampled_from([post_offers, ranked_offers]))(config)
+    plan = market._RoundPlan(config, tuple(offers))
+    spend = plan.total.sum(axis=1).tolist()
+    sellers = set(plan.sellers.tolist())
+    money = {}
+    for r, pid in enumerate(config.player_ids()):
+        if r in sellers and data.draw(st.booleans()):
+            rounds_held = data.draw(st.floats(0.0, 1.0))
+        else:
+            rounds_held = data.draw(st.integers(2, rounds - 1)) + data.draw(st.floats(0.0, 1.0))
+        money[pid] = spend[r] * rounds_held
+    assert_rounds_match_the_oracle(config, offers, money, rounds, record_detail)
+
+
+def test_the_repeat_check_passes_most_rounds_of_a_tight_budget(monkeypatch):
+    """tight_budget's economy decides 9 of its 1,000 rounds afresh: the
+    first, and each round in which another budget binds. Every other round
+    passes the repeat check."""
+    sc = load_config(Path(__file__).parents[1] / "bench" / "workloads" / "tight_budget.yaml")
+    config = build_economy(sc)
+    passed = count_repeats(monkeypatch)
+    state, offers = MarketState.from_config(config, sc.initial_money), post_offers(config)
+    forced = []
+    for _ in range(sc.rounds):
+        state, report = execute_round(config, state, offers, record_detail=False)
+        forced.append(report.n_forced)
+    assert len(passed) == 1000 and sum(passed) >= 990
+    assert forced[0] == 0 and forced[-1] > 0  # budgets do bind
 
 
 def test_a_negative_price_decides_its_seller_in_row_order(golden):

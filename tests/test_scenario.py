@@ -708,6 +708,21 @@ def same(**fields):
             ": traces must be an integer >= 1",
         ),
         (
+            lambda: {"walk": WalkRun(WalkParams(1.0, 3.0, 0.1), steps=5, traces=1)},
+            {"walk": {**WALK, "eta": 3.0}},
+            ": eta must be a finite number in (0, 2)",
+        ),
+        (
+            lambda: {"walk": WalkRun(WalkParams(1.0, 0.5, -1.0), steps=5, traces=1)},
+            {"walk": {**WALK, "sigma": -1.0}},
+            ": sigma must be a finite number >= 0",
+        ),
+        (
+            lambda: {"walk": WalkRun(WalkParams(float("inf"), 0.5, 0.1), steps=5, traces=1)},
+            {"walk": {**WALK, "true_price": "inf"}},
+            ": true_price must be a finite number >= 0",
+        ),
+        (
             *drawn(5, "bogus", {"alpha": 2.0, "minimum": 0.5}),
             ": efficiency_distribution must be one of ('uniform', 'log-normal', 'pareto')",
         ),
@@ -735,6 +750,9 @@ def same(**fields):
         "conversion-string",
         "walk-steps-zero",
         "walk-traces-negative",
+        "walk-eta-outside",
+        "walk-sigma-negative",
+        "walk-true-price-infinite",
         "unknown-distribution",
         "uniform-without-high",
         "count-zero",
