@@ -14,9 +14,8 @@ from camsim import (
     Player,
     autarky_energy,
     break_even_price,
-    build_price_density,
     optimal_assignment,
-    optimal_price_arrays,
+    post_offers,
     run_market,
 )
 
@@ -45,11 +44,11 @@ print(f"\nEnergy-minimizing producer per job: {producer_of} "
 
 print("\nHow P1 prices job x against the other break-evens:")
 others = [break_even_price(config.cost(p, "x"), config.conversion) for p in ("P2", "P3")]
-density = build_price_density(others)
 be = break_even_price(config.cost("P1", "x"), config.conversion)
-[price], [buyers], [profit] = optimal_price_arrays([be], density, config.price_quantum)
+[price] = [o.price for o in post_offers(config) if o.seller == "P1" and o.job == "x"]
+buyers = sum(b > price for b in others)  # buyers need a strictly lower price
 print(f"  competitor break-evens: {others}, posted price {price:.0f}, "
-      f"{buyers} buyers, profit {profit:.0f}")
+      f"{buyers} buyers, profit {(price - be) * buyers:.0f}")
 
 state, reports = run_market(config, rounds=5, initial_money=100.0)
 last = reports[-1]

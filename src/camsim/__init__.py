@@ -8,9 +8,9 @@ ledgers, wealth-distribution analysis, and a mean-reverting model of
 noisy price estimation. Checks that only the tests use (assignment net
 energy, stationarity and brute force, vectorized buyer counts, density
 mass and largest atom, the no-trade witness, pricing by a per-candidate
-scan and as solution records, every seller's offer, posting from the full
-pricing table, the round as a loop over the cells) live in
-``tests/oracles.py``.
+scan, by the whole gains table and as solution records, every seller's
+offer, posting from the whole table, the round as a loop over the
+cells) live in ``tests/oracles.py``.
 """
 
 from .analysis import (
@@ -31,12 +31,7 @@ from .market import (
     post_offers,
     run_market,
 )
-from .pricing import (
-    PriceDensity,
-    build_price_density,
-    buyer_count,
-    optimal_price_arrays,
-)
+from .pricing import PriceDensity, build_price_density, buyer_count
 from .scenario import ConfigError, ScenarioConfig, load_config, run_scenario
 from .walk import (
     WalkParams,

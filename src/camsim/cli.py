@@ -20,7 +20,11 @@ from .scenario import ConfigError, load_config, run_scenario
 
 def _no_trade_failures(config: EconomyConfig) -> list[str]:
     """The no-trade degeneracies: without a conserved cost, or without
-    comparative advantage, nobody trades.
+    comparative advantage, nobody trades. The claim holds both ways: with
+    demand everywhere and budgets that cover the prices, round 1 trades
+    exactly when some job's largest break-even less one quantum exceeds its
+    smallest, unless that subtraction gives the largest back (see
+    ``pricing``). These variants check the one direction on every run.
 
     Both variants start every player at the default endowment and run one
     round, which decides the rest: a buyer's choice reads only the offers,

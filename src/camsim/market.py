@@ -130,9 +130,10 @@ def post_offers(config: EconomyConfig) -> list[Offer]:
     Of the offers with positive profit, the first two by (price, seller
     cost, seller id) are kept: a buyer takes the first offer from someone
     else, which is one of these two. ``pricing.first_offers`` finds them
-    from each job's sorted break-evens, pricing only the cheapest atoms
-    that can still rank first or second; the rows run in sorted-id order,
-    so the row is the id tie-break.
+    from each job's sorted break-evens, pricing them cheapest first in
+    batches of 1, 1, 2, 4, ... until no dearer seller can rank first or
+    second; the rows run in sorted-id order, so the row is the id
+    tie-break.
     """
     players, jobs = config.player_ids(), config.job_ids()
     cols, rows, prices = first_offers(config.costs, config.conversion, config.price_quantum)

@@ -8,16 +8,23 @@ sits one price quantum below some atom. The degenerate all-atoms-at-zero
 density makes every positive posting find zero buyers, which is what
 kills trade when job execution costs nothing.
 
-A density is two arrays from one ``np.unique``. ``optimal_price_arrays``
-tabulates the candidates (each atom less one quantum) and their buyers, then
-takes every break-even's first maximum gain in one array pass over a table
-of break-evens by candidates, built in row blocks of a fixed number of cells
-so its memory stays O(A), in O(A²) time. ``first_offers`` posts each job's
-first two offers without that table: it sorts the job's N break-evens once
-and prices its atoms cheapest first, one O(N) pass each, until a
-certificate shows that no dearer seller can rank first or second. Two
-atoms usually suffice; a job still open after ``_MAX_STEPS`` atoms falls
-back to ``optimal_price_arrays``.
+The paper's claim holds both ways. A seller at break-even b earns
+something exactly when some candidate, an atom less one quantum, lies
+above b and below the largest atom, which then buys. So a job has an
+offer exactly when some candidate lies strictly between its smallest and
+largest break-even: when its largest break-even less one quantum exceeds
+its smallest, unless that subtraction rounds back to the largest (a
+quantum under half its ulp). That candidate then has no buyer, and
+another must lie inside. With demand everywhere and budgets that cover
+the prices, round 1 trades exactly when some job has an offer.
+
+A density is two arrays from one ``np.unique``. ``first_offers`` posts
+each job's first two offers: it sorts the job's N break-evens once and
+prices them cheapest first, 1, 1, 2, 4, ... of them per pass, each in one
+O(N) pass over the candidates, until a certificate shows that no dearer
+seller can rank first or second. Two break-evens usually suffice; a job
+that never certifies is priced whole, in O(N²) time and O(N) memory
+beyond a block of ``_BLOCK_CELLS`` gains.
 """
 
 from __future__ import annotations
@@ -68,64 +75,13 @@ def buyer_count(density: PriceDensity, posted: float) -> int:
     return int(density.masses[density.prices > posted].sum())
 
 
-# The most cells of the gains table one block of rows holds, so that pricing
-# A atoms takes O(A) memory beyond a fixed block, never the whole A x A table.
+# The most cells of the gains table one block holds, so that posting N
+# players takes O(N) memory beyond a fixed block, never an N x N table.
 _BLOCK_CELLS = 2**17
 
-
-def optimal_price_arrays(
-    break_evens: list[float] | np.ndarray, density: PriceDensity, quantum: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each break-even's best posting: arrays of its price, buyers and profit.
-    Ties go to the lowest price; with no positive profit, the break-even and 0.
-
-    Row i of the gains table is ``(cands - b_i) * buyers`` over the
-    candidates, each atom less one quantum. The table is built in blocks of
-    at most ``max(1, _BLOCK_CELLS // A)`` rows, each block's columns starting
-    at the first candidate above the block's lowest break-even. A cell at or
-    below its row's break-even is clamped to 0 before the multiply, so it
-    stays finite (an infinite break-even would make -inf times 0 buyers, NaN)
-    and no positive maximum can pick it: each row's first maximum, when it
-    is > 0, is the first maximum over the candidates above its break-even.
-    """
-    if not (quantum > 0 and math.isfinite(quantum)):
-        raise ValueError(f"quantum must be finite and > 0, got {quantum}")
-    bs = np.asarray(break_evens, dtype=float)
-    if not (bs >= 0).all():
-        raise ValueError(f"break_even must be >= 0, got {bs[~(bs >= 0)][0]}")
-    atoms = density.prices
-    # above[i]: the mass of atoms[i:], so the buyers at a price p are
-    # above[searchsorted(atoms, p, side="right")].
-    above = np.append(np.cumsum(density.masses[::-1])[::-1], 0)
-    cands = atoms - quantum  # non-decreasing, as the atoms increase
-    buyers = above[np.searchsorted(atoms, cands, side="right")]
-    firsts = np.searchsorted(cands, bs, side="right")
-    # Where no posting earns a positive profit: the break-even, its buyers, 0.
-    price = bs.copy()
-    count = above[np.searchsorted(atoms, bs, side="right")]
-    profit = np.zeros(bs.size)
-    rows = max(1, _BLOCK_CELLS // max(atoms.size, 1))
-    for start in range(0, bs.size, rows):
-        block = slice(start, start + rows)
-        lo = firsts[block].min()
-        if lo == atoms.size:
-            continue  # no candidate above any break-even in the block
-        gains = cands[lo:] - bs[block, None]
-        np.maximum(gains, 0.0, out=gains)
-        gains *= buyers[lo:]
-        j = gains.argmax(axis=1)  # each row's first maximum
-        best = gains[np.arange(j.size), j]
-        win = np.flatnonzero(best > 0)
-        at, j = start + win, lo + j[win]
-        price[at], count[at], profit[at] = cands[j], buyers[j], best[win]
-    return price, count, profit
-
-
 # A priced row certifies a floor when its best gain G beats every gain at a
-# lower candidate by more than _SLACK·G (the bound is in first_offers); a
-# job still open after _MAX_STEPS atoms is priced from the whole table.
+# lower candidate by more than _SLACK·G (the bound is in first_offers).
 _SLACK = 16 * 2.0**-53
-_MAX_STEPS = 8
 _TINY = 2.0**-1022  # the smallest normal float
 
 
@@ -134,27 +90,34 @@ def first_offers(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each job's first two sellers with positive profit, by (price, cost, row).
 
-    ``costs`` is the players x jobs table, a seller's break-even is
-    ``conversion * cost``, and its price is ``optimal_price_arrays``'
-    solution against the density of its job's break-evens. Returns the
-    sellers' job columns, rows and prices, by job and then rank.
+    ``costs`` is the players x jobs table, and a seller's break-even b is
+    ``conversion * cost``. Its candidates are its job's break-evens less one
+    quantum, a candidate's buyers are the break-evens strictly above it, and
+    its gain at candidate c is ``max(c - b, 0) * buyers``. It posts at its
+    first maximum gain when that is positive. Returns the sellers' job
+    columns, rows and prices, by job and then rank.
 
-    Each job's break-evens are sorted once. Its atoms are then priced
-    cheapest first, one atom of every open job per step, each in one pass
-    over all the candidates with the float expressions of
-    ``optimal_price_arrays`` (gain ``max(cand - b, 0) * buyers``, first
-    maximum), so a priced atom gets the same price bit for bit. A job stops
-    when one of these holds:
-    - The second of its priced sellers, ranked by price with one seller per
-      unit of mass, posts at or below the floor of a certified row. Every
-      dearer seller posts at or above that floor and costs more, so it
-      ranks after both.
-    - An atom b earns nothing, so no candidate above b has a buyer. Every
-      candidate above a dearer b' is above b, and the clamp and the sign of
-      a float difference are exact, so no dearer atom earns anything.
-    - Every atom is priced.
-    A job still open after ``_MAX_STEPS`` atoms is priced whole by
-    ``optimal_price_arrays``.
+    Each job's break-evens are sorted once. Its sorted positions, one unit
+    of mass each, are then priced cheapest first, 1, 1, 2, 4, ... positions
+    of every open job per pass (fewer where a pass would exceed a block),
+    each position in one pass over the candidates. A job stops at the first
+    position where one of these holds:
+    - The second of its priced positions, ranked by price, posts at or
+      below the floor of a certified row. Every dearer seller posts at or
+      above that floor and costs more, so it ranks after both.
+    - The position earns nothing, so no candidate above its break-even b
+      has a buyer. Every candidate above a dearer b' is above b, and the
+      clamp and the sign of a float difference are exact, so no dearer
+      seller earns anything.
+    - It is the job's last position.
+    The job's sellers are its rows whose break-even is below the stopping
+    one, and at it when that position earns. A stop may fall at any
+    position of an atom: equal break-evens get equal prices, so the rows at
+    the stopping break-even, priced or not, post its price, and the sellers
+    are those that a stop at the atom's last position would find. Each stop
+    proves that no dearer seller ranks first or second, so the positions
+    priced after the stop in the same batch change no offer, and are
+    dropped.
 
     The floor. Row b's gain at candidate k is g(k, b) = (c_k - b)·n_k. The
     float candidates c_k do not decrease with k and the buyers n_k do not
@@ -176,7 +139,9 @@ def first_offers(
     c_k0 or above.
 
     Jobs are taken in blocks of at most ``_BLOCK_CELLS`` break-evens (one
-    job at least), so no temporary holds more than one block's cells.
+    job at least), and a pass prices at most ``_BLOCK_CELLS`` gains (one
+    position per job at least), so no temporary holds more than one
+    block's cells.
     """
     if not (quantum > 0 and math.isfinite(quantum)):
         raise ValueError(f"quantum must be finite and > 0, got {quantum}")
@@ -194,67 +159,74 @@ def _first_offers(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``first_offers`` for one block of jobs."""
     n, m = costs.shape
-    be = np.multiply(conversion, costs.T, order="C")  # jobs x players
-    atoms = np.sort(be, axis=1)  # each job's break-evens, in order
-    # Each candidate's buyers, exact as the float optimal_price_arrays
-    # multiplies its int64 counts by.
-    buyers, cands = np.empty_like(atoms), atoms - quantum
+    atoms = np.multiply(conversion, costs.T, order="C")  # jobs x players
+    atoms.sort(axis=1)  # each job's break-evens, in order
+    cands, buyers = atoms - quantum, np.empty_like(atoms)
     for j in range(m):
         buyers[j] = atoms[j].searchsorted(cands[j], side="right")
     np.subtract(n, buyers, out=buyers)
-    del cands
-    # Per open job: its first position not yet priced, the two lowest prices
-    # posted so far (one per seller), and the highest floor a certified row
-    # proved; and per profitable atom priced, its job, break-even and price.
-    open_, first = np.arange(m), np.zeros(m, np.intp)
+    # Per open job: the lowest and second lowest prices posted so far, one
+    # per position, and the highest floor a certified row proved. Per job:
+    # the position it stopped at. Per pass: its open jobs, its first
+    # position, and the price of each position (inf where it earns nothing).
+    open_, first, stop, runs = np.arange(m), 0, np.empty(m, np.intp), []
     low, second, floor = np.full(m, np.inf), np.full(m, np.inf), np.full(m, -np.inf)
-    runs = []
-    for _ in range(_MAX_STEPS):
+    while open_.size:
+        # 1, 1, 2, 4, ... positions per pass, up to a block of gains. The
+        # candidates below position `first` are at or below every break-even
+        # from there on, so their gains are 0, and the pass skips them.
+        size = min(max(first, 1), n - first, max(1, _BLOCK_CELLS // (open_.size * (n - first))))
         rows = slice(None) if open_.size == m else open_  # a view while every job is open
-        b = atoms[open_, first]
-        price, profit, certified = _price_step(atoms[rows], buyers[rows], b, quantum)
-        end = np.count_nonzero(atoms[rows] <= b[:, None], axis=1)
-        win = profit > 0
-        posted = np.where(win, price, np.inf)
-        twice = np.where(end - first > 1, posted, np.inf)
-        second = np.minimum(np.minimum(second, np.maximum(low, posted)), twice)
-        low = np.minimum(low, posted)
-        floor = np.where(certified, np.maximum(floor, price), floor)
-        runs.append((open_[win], b[win], price[win]))
-        keep = win & (second > floor) & (end < n)
-        open_, first, low, second, floor = [x[keep] for x in (open_, end, low, second, floor)]
-        if not open_.size:
-            break
-    done = np.ones(m, bool)
-    done[open_] = False
-    sellers = []
-    for job, b, price in runs:  # each atom's sellers, by row
-        stopped = done[job]
-        at, row = np.nonzero(be[job[stopped]] == b[stopped, None])
-        sellers.append((job[stopped][at], row, price[stopped][at]))
-    for j in open_.tolist():  # still open: price every atom
-        density = build_price_density(atoms[j])
-        solved, _, profit = optimal_price_arrays(density.prices, density, quantum)
-        at = np.searchsorted(density.prices, be[j])
-        row = np.flatnonzero(profit[at] > 0)
-        sellers.append((np.full(row.size, j), row, solved[at[row]]))
-    job, row, price = map(np.concatenate, zip(*sellers))
+        price, profit, certified = _price_step(
+            cands[rows, first:], buyers[rows, first:], atoms[open_, first : first + size]
+        )
+        posted = np.where(profit > 0, price, np.inf)
+        lows = _running(np.minimum, low, posted)
+        seconds = _running(np.minimum, second, np.maximum(lows[:, :-1], posted))
+        floors = _running(np.maximum, floor, np.where(certified, price, -np.inf))
+        ends = (posted == np.inf) | (seconds[:, 1:] <= floors[:, 1:])
+        ends[:, -1] |= first + size == n
+        hit = ends.any(axis=1)
+        stop[open_[hit]] = first + ends[hit].argmax(axis=1)
+        runs.append((open_, first, posted))
+        keep = ~hit
+        open_, low, second, floor = open_[keep], lows[keep, -1], seconds[keep, -1], floors[keep, -1]
+        first += size
+    del cands, buyers
+    table = np.empty((m, first))
+    for jobs, at, posted in runs:
+        table[jobs, at : at + posted.shape[1]] = posted
+    jobs = np.arange(m)
+    last = stop - (table[jobs, stop] == np.inf)  # each job's last position that earns
+    cut = np.where(last >= 0, atoms[jobs, last], -np.inf)
+    # The sellers, and each one's position in its job's sorted order.
+    job, row = np.nonzero(np.multiply(conversion, costs.T, order="C") <= cut[:, None])
+    by_cost = np.lexsort((costs[row, job], job))
+    job, row = job[by_cost], row[by_cost]
+    rank = np.arange(job.size) - np.searchsorted(job, job)
+    price = table[job, np.minimum(rank, last[job])]
     ranked = np.lexsort((row, costs[row, job], price, job))
     job, row, price = job[ranked], row[ranked], price[ranked]
     top = np.arange(job.size) - np.searchsorted(job, job) < 2
     return job[top], row[top], price[top]
 
 
+def _running(extreme: np.ufunc, start: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each row's running minimum or maximum of ``start`` then ``values``."""
+    return extreme.accumulate(np.concatenate((start[:, None], values), axis=1), axis=1)
+
+
 def _price_step(
-    atoms: np.ndarray, buyers: np.ndarray, break_evens: np.ndarray, quantum: float
+    cands: np.ndarray, buyers: np.ndarray, break_evens: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Break-even i priced against the atoms of row i, as optimal_price_arrays
-    prices it: the first maximum's candidate and gain, and whether the row
-    certifies that candidate as a floor (see first_offers)."""
-    gains = atoms - quantum  # the candidates
-    gains -= break_evens[:, None]
+    """Break-evens ``break_evens[i]`` priced against the candidates and
+    buyers of row i, as first_offers prices them: each first maximum's
+    candidate and gain, and whether it certifies that candidate as a floor
+    (see first_offers)."""
+    gains = cands[:, None, :] - break_evens[:, :, None]
     np.maximum(gains, 0.0, out=gains)
-    gains *= buyers
+    gains *= buyers[:, None, :]
+    gains = gains.reshape(break_evens.size, -1)  # one row per break-even
     k = gains.argmax(axis=1)
     at = np.arange(k.size)
     best = gains[at, k]
@@ -262,5 +234,5 @@ def _price_step(
     # Every gain below k is under the threshold when k is the first to reach it.
     first = (gains >= threshold[:, None]).argmax(axis=1)
     certified = (first == k) & (threshold >= _TINY) & (threshold < np.inf)
-    return atoms[at, k] - quantum, best, certified
-
+    price = cands[at // break_evens.shape[1], k]
+    return tuple(x.reshape(break_evens.shape) for x in (price, best, certified))

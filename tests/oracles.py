@@ -25,7 +25,7 @@ from camsim import (
     build_price_density,
     buyer_count,
     derive_trace_seed,
-    optimal_price_arrays,
+    pricing,
     simulate_walk,
 )
 from camsim.assignment import ENUMERATION_CAP, cost_matrix
@@ -38,6 +38,55 @@ from camsim.scenario import (
     _trade_lines,
     build_economy,
 )
+
+
+def optimal_price_arrays(
+    break_evens: list[float] | np.ndarray, density: PriceDensity, quantum: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each break-even's best posting: arrays of its price, buyers and profit.
+    Ties go to the lowest price; with no positive profit, the break-even and 0.
+
+    Row i of the gains table is ``(cands - b_i) * buyers`` over the
+    candidates, each atom less one quantum. The table is built in blocks of
+    at most ``max(1, pricing._BLOCK_CELLS // A)`` rows, read at each call,
+    each block's columns starting at the first candidate above the block's
+    lowest break-even, so its memory stays O(A), in O(A²) time. A cell at or
+    below its row's break-even is clamped to 0 before the multiply, so it
+    stays finite (an infinite break-even would make -inf times 0 buyers,
+    NaN) and no positive maximum can pick it: each row's first maximum, when
+    it is > 0, is the first maximum over the candidates above its break-even.
+    """
+    if not (quantum > 0 and math.isfinite(quantum)):
+        raise ValueError(f"quantum must be finite and > 0, got {quantum}")
+    bs = np.asarray(break_evens, dtype=float)
+    if not (bs >= 0).all():
+        raise ValueError(f"break_even must be >= 0, got {bs[~(bs >= 0)][0]}")
+    atoms = density.prices
+    # above[i]: the mass of atoms[i:], so the buyers at a price p are
+    # above[searchsorted(atoms, p, side="right")].
+    above = np.append(np.cumsum(density.masses[::-1])[::-1], 0)
+    cands = atoms - quantum  # non-decreasing, as the atoms increase
+    buyers = above[np.searchsorted(atoms, cands, side="right")]
+    firsts = np.searchsorted(cands, bs, side="right")
+    # Where no posting earns a positive profit: the break-even, its buyers, 0.
+    price = bs.copy()
+    count = above[np.searchsorted(atoms, bs, side="right")]
+    profit = np.zeros(bs.size)
+    rows = max(1, pricing._BLOCK_CELLS // max(atoms.size, 1))
+    for start in range(0, bs.size, rows):
+        block = slice(start, start + rows)
+        lo = firsts[block].min()
+        if lo == atoms.size:
+            continue  # no candidate above any break-even in the block
+        gains = cands[lo:] - bs[block, None]
+        np.maximum(gains, 0.0, out=gains)
+        gains *= buyers[lo:]
+        j = gains.argmax(axis=1)  # each row's first maximum
+        best = gains[np.arange(j.size), j]
+        win = np.flatnonzero(best > 0)
+        at, j = start + win, lo + j[win]
+        price[at], count[at], profit[at] = cands[j], buyers[j], best[win]
+    return price, count, profit
 
 
 @dataclass(frozen=True)
@@ -433,7 +482,8 @@ def density_lines(sc: ScenarioConfig, config: EconomyConfig) -> list[str]:
 def post_offers_by_full_table(config: EconomyConfig) -> list[Offer]:
     """post_offers from every seller's price: per job, its distinct
     break-evens priced by one ``optimal_price_arrays`` call, O(A²), and one
-    ``np.lexsort`` of the profitable sellers by (price, cost, row)."""
+    ``np.lexsort`` of the profitable sellers by (price, cost, row). The
+    reference for ``pricing.first_offers``' certificate and stops."""
     players = config.player_ids()
     offers: list[Offer] = []
     for c, jid in enumerate(config.job_ids()):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camsim import (
@@ -150,6 +150,14 @@ def test_post_offers_matches_all_sellers_oracle(config):
     assert post_offers(config) == expected
 
 
+@pytest.mark.parametrize("cells", [1, 40])
+def test_post_offers_in_small_blocks_matches_all_sellers_oracle(monkeypatch, cells):
+    """With up to 8 players, 1 cell prices one job and one position per
+    pass, and 40 cells a few jobs per block with passes cut to fit."""
+    monkeypatch.setattr(pricing, "_BLOCK_CELLS", cells)
+    test_post_offers_matches_all_sellers_oracle()
+
+
 def three_hundred_players() -> EconomyConfig:
     """300 players x 3 jobs with uniform efficiencies and unit demand."""
     rng = random.Random(7)
@@ -167,40 +175,45 @@ def three_hundred_players() -> EconomyConfig:
     )
 
 
-def test_post_offers_prices_each_distinct_break_even_once(monkeypatch):
-    """Each step prices the next distinct break-even of every open job, at
-    most _MAX_STEPS of them, and no job falls back to the whole table.
-
-    The 300 players' break-evens are all distinct. In a copy where each
-    player takes the efficiencies of one of the first three, a hundred
-    sellers share each of three atoms per job.
-    """
-    steps = []
+def recorded_batches(monkeypatch) -> list:
+    """Each pricing pass's break-evens, one list per open job, as posted."""
+    batches = []
     price_step = pricing._price_step
 
-    def recording(atoms, buyers, break_evens, quantum):
-        steps.append(break_evens.tolist())
-        return price_step(atoms, buyers, break_evens, quantum)
-
-    def whole_table(*args):
-        raise AssertionError("a job fell back to optimal_price_arrays")
+    def recording(cands, buyers, break_evens):
+        batches.append(break_evens.tolist())
+        return price_step(cands, buyers, break_evens)
 
     monkeypatch.setattr(pricing, "_price_step", recording)
-    monkeypatch.setattr(pricing, "optimal_price_arrays", whole_table)
+    return batches
+
+
+def assert_sorted_batches(config, batches):
+    """Pass k prices the next 1, 1, 2, 4, ... sorted break-evens of each open
+    job, and the first pass every job's cheapest."""
+    ordered = np.sort(config.conversion * config.costs, axis=0).T.tolist()
+    assert batches[0] == [b[:1] for b in ordered]
+    first = 0
+    for batch in batches:
+        size = min(max(first, 1), len(config.player_ids()) - first)
+        assert all(any(b == job[first : first + size] for job in ordered) for b in batch)
+        first += size
+
+
+def test_post_offers_prices_sorted_break_evens_in_doubling_batches(monkeypatch):
+    """Every job stops within the first two passes, both when its 300
+    break-evens are distinct and in a copy where each player takes the
+    efficiencies of one of the first three, so that a hundred sellers share
+    each of three atoms per job."""
+    batches = recorded_batches(monkeypatch)
     config = three_hundred_players()
     eff = config.efficiencies
     repeated = dataclasses.replace(config, efficiencies=eff[np.arange(len(eff)) % 3])
     for cfg in (config, repeated):
-        steps.clear()
+        batches.clear()
         offers = post_offers(cfg)
-        atoms = [
-            sorted(set((cfg.conversion * cfg.costs[:, c]).tolist()))
-            for c in range(len(cfg.job_ids()))
-        ]
-        assert 1 <= len(steps) <= pricing._MAX_STEPS
-        assert steps[0] == [a[0] for a in atoms]
-        for k, priced in enumerate(steps):
-            assert set(priced) <= {a[k] for a in atoms if k < len(a)}
+        assert 1 <= len(batches) <= 2
+        assert_sorted_batches(cfg, batches)
         ranked = ranked_offers(cfg)
         expected = []
         for jid in cfg.job_ids():
@@ -264,35 +277,23 @@ def test_near_ties_at_the_certified_row_post_the_full_tables_offers(config):
     assert post_offers(config) == post_offers_by_full_table(config) == ranked[:2]
 
 
-def test_every_job_falling_back_posts_the_same_offers(monkeypatch):
+def test_every_job_left_uncertified_posts_the_same_offers(monkeypatch):
     """With a slack no gain can beat no row certifies, so each job, with 300
-    distinct and profitable break-evens, is still open after _MAX_STEPS
-    atoms and is priced by the whole table."""
+    distinct and profitable break-evens, is priced in doubling batches until
+    its break-evens earn nothing or run out."""
     config = three_hundred_players()
     expected = post_offers(config)
-    whole_table, calls = pricing.optimal_price_arrays, []
-
-    def recording(*args):
-        calls.append(args[0].size)
-        return whole_table(*args)
-
+    batches = recorded_batches(monkeypatch)
     monkeypatch.setattr(pricing, "_SLACK", 1.0)
-    monkeypatch.setattr(pricing, "optimal_price_arrays", recording)
     assert post_offers(config) == expected == post_offers_by_full_table(config)
-    assert calls == [300, 300, 300]
+    assert len(batches) <= math.ceil(math.log2(300)) + 2
+    assert_sorted_batches(config, batches)
 
 
 def test_a_job_whose_cheapest_atom_earns_nothing_posts_after_one_atom(monkeypatch):
     """Break-evens 1, 1.5 and 2 with a quantum of 1: no candidate exceeds 1,
     so the cheapest atom earns nothing, and then no dearer atom can."""
-    steps = []
-    price_step = pricing._price_step
-
-    def recording(atoms, buyers, break_evens, quantum):
-        steps.append(break_evens.tolist())
-        return price_step(atoms, buyers, break_evens, quantum)
-
-    monkeypatch.setattr(pricing, "_price_step", recording)
+    batches = recorded_batches(monkeypatch)
     config = EconomyConfig.of(
         players=[Player(f"P{i}", {"x": eff}) for i, eff in enumerate((3.0, 2.0, 1.5))],
         jobs=[JobSpec("x", 3.0)],
@@ -301,7 +302,7 @@ def test_a_job_whose_cheapest_atom_earns_nothing_posts_after_one_atom(monkeypatc
     )
     assert config.costs.ravel().tolist() == [1.0, 1.5, 2.0]
     assert post_offers(config) == [] == post_offers_by_full_table(config)
-    assert steps == [[1.0]]
+    assert batches == [[[1.0]]]  # one pass, one job, its cheapest break-even
 
 
 def test_posting_2000_players_by_20_jobs_holds_no_table():
@@ -326,6 +327,30 @@ def test_posting_2000_players_by_20_jobs_holds_no_table():
     assert offers == post_offers_by_full_table(config)
     assert len(offers) == 40
     assert peak < 2 * 2**20
+
+
+def test_posting_2000_players_by_20_jobs_left_uncertified_holds_no_table(monkeypatch):
+    """With nothing certified every job prices its break-evens to its last
+    that earns, at a tracemalloc peak of 3.9 MiB measured here; one job's
+    whole table of gains would take 32 MB."""
+    rng = np.random.default_rng(42)
+    config = EconomyConfig(
+        [f"P{i:04d}" for i in range(2000)],
+        [f"j{k:02d}" for k in range(20)],
+        rng.uniform(0.5, 2.0, (2000, 20)),
+        np.arange(1.0, 21.0),
+        demand=1,
+    )
+    monkeypatch.setattr(pricing, "_SLACK", 1.0)
+    tracemalloc.start()
+    try:
+        offers = post_offers(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert offers == post_offers_by_full_table(config)
+    assert len(offers) == 40
+    assert peak < 8 * 2**20
 
 
 def test_post_offers_imports_nothing():
@@ -661,6 +686,79 @@ def test_zero_cost_economy_never_trades():
 def test_identical_efficiencies_never_trade():
     _, reports = run_market(identical_efficiency_config(), 5)
     assert all(r.n_trades == 0 for r in reports)
+
+
+def economy_of(quantum: float, conversion: float, columns: list[list[float]]) -> EconomyConfig:
+    """Demand 1 everywhere, and job j's costs about ``columns[j]``: its
+    smallest target as the workload over efficiencies of at most 1."""
+    n = len(columns[0])
+    workloads = np.array([min(col) for col in columns])
+    eff = np.ones((n, len(columns)))
+    for j, col in enumerate(columns):
+        if workloads[j] > 0:
+            eff[:, j] = workloads[j] / np.array(col)
+    return EconomyConfig(
+        [f"P{i:02d}" for i in range(n)],
+        [f"j{j}" for j in range(len(columns))],
+        eff,
+        workloads,
+        demand=1,
+        conversion=conversion,
+        price_quantum=quantum,
+    )
+
+
+@st.composite
+def claim_economies(draw):
+    """2-11 players and 1-4 jobs whose costs sit a few steps above a base,
+    the steps near the quantum, some columns identical. The float edges are
+    drawn too: tiny quanta, bases so large that subtracting the quantum can
+    give them back, subnormal bases and steps, and zero costs."""
+    quantum = draw(st.one_of(st.floats(0.01, 1.0), st.sampled_from([2.0**-60, 1e-300, 5e-324])))
+    n = draw(st.integers(2, 11))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["near", "absorbing", "subnormal", "zero"]))
+        if kind == "zero":
+            columns.append([0.0] * n)
+            continue
+        if kind == "near":
+            base = draw(st.floats(0.05, 20.0))
+            step = draw(st.one_of(st.just(quantum), st.floats(0.5, 1.5).map(quantum.__mul__)))
+        elif kind == "absorbing":
+            base = quantum * 2.0**53 * draw(st.floats(0.25, 4.0))
+            step = quantum * draw(st.floats(0.5, 8.0))
+        else:
+            base = draw(st.floats(5e-324, 2.0**-1022, exclude_max=True))
+            step = draw(st.floats(0.0, 2.0**-1022))
+        ks = [0] * n if draw(st.booleans()) else draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        columns.append([base + k * step for k in ks])
+    conversion = draw(st.one_of(st.just(1.0), st.floats(0.37, 3.0)))
+    return economy_of(quantum, conversion, columns)
+
+
+@given(config=claim_economies())
+@example(config=economy_of(1e-300, 1.0, [[1.0, 2.0]]))
+@settings(max_examples=400, deadline=None)
+def test_round_one_trades_exactly_when_a_candidate_lies_inside_a_jobs_break_evens(config):
+    """The paper's claim both ways. With demand 1 everywhere and budgets
+    that cover every price, round 1 trades exactly when some job has a
+    candidate, a break-even less one quantum, strictly between its smallest
+    and largest break-even. That is when its largest break-even less one
+    quantum exceeds its smallest, unless the subtraction gives the largest
+    back: then that candidate has no buyer, and another must lie inside, as
+    none does at break-evens 1 and 2 with a quantum of 1e-300."""
+    quantum, inside, exceeds, absorbed = config.price_quantum, False, False, False
+    for c in range(len(config.jobs)):
+        atoms = np.sort(config.conversion * config.costs[:, c])
+        cands = atoms - quantum
+        inside |= bool(((cands > atoms[0]) & (cands < atoms[-1])).any())
+        exceeds |= bool(cands[-1] > atoms[0])
+        absorbed |= bool(cands[-1] == atoms[-1])
+    _, [report] = run_market(config, 1, config.round_bound, record_detail=False)
+    assert (report.n_trades > 0) == inside
+    if not absorbed:
+        assert inside == exceeds
 
 
 def test_individual_rationality(golden):

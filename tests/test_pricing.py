@@ -12,7 +12,6 @@ from camsim import (
     PriceDensity,
     build_price_density,
     buyer_count,
-    optimal_price_arrays,
     pricing,
 )
 from tests.oracles import (
@@ -20,6 +19,7 @@ from tests.oracles import (
     buyer_counts,
     no_trade_witness,
     optimal_price,
+    optimal_price_arrays,
     optimal_price_by_scan,
     optimal_prices,
     p_max,

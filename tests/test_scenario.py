@@ -36,6 +36,7 @@ from camsim.scenario import (
 )
 from camsim.walk import WalkParams
 from tests.oracles import run_scenario_by_cell
+from tests.test_market import recorded_batches
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = yaml.safe_load((DATA / "golden.yaml").read_text())
@@ -491,7 +492,8 @@ def test_cli_check_fails_a_corrupted_record_after_rounds_that_passed(
 )
 def test_cli_check_variants_post_no_offers(monkeypatch, economy):
     """In both no-trade variants every job's density is one atom, so no
-    seller can post an offer, not only that no round trades."""
+    seller can post an offer, not only that no round trades, and posting
+    prices one pass of each job's cheapest break-even alone."""
     variants = []
 
     def run_market(config, rounds, **kwargs):
@@ -502,8 +504,11 @@ def test_cli_check_variants_post_no_offers(monkeypatch, economy):
     config = build_economy(parse_mapping(golden_with(economy)))
     assert _no_trade_failures(config) == []
     assert len(variants) == 2
+    batches = recorded_batches(monkeypatch)
     for variant in variants:
+        batches.clear()
         assert market.post_offers(variant) == []
+        assert [[len(b) for b in batch] for batch in batches] == [[1] * len(variant.jobs)]
 
 
 def test_a_drawn_population_and_its_check_variants_build_no_player(monkeypatch):
