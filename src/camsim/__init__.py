@@ -6,11 +6,12 @@ package provides energy-cost accounting, globally energy-minimizing job
 assignment, price-density pricing, a round-based market with zero-sum
 ledgers, wealth-distribution analysis, and a mean-reverting model of
 noisy price estimation. Checks that only the tests use (assignment net
-energy, stationarity and brute force, vectorized buyer counts, density
-mass and largest atom, the no-trade witness, pricing by a per-candidate
-scan, by the whole gains table and as solution records, every seller's
-offer, posting from the whole table, the round as a loop over the
-cells) live in ``tests/oracles.py``.
+energy, stationarity and brute force, the price density as validated
+atoms, buyer counts scalar and vectorized, density mass and largest atom,
+the no-trade witness, pricing by a per-candidate scan, by the whole gains
+table and as solution records, every seller's offer, posting from the
+whole table, the round as a loop over the cells) live in
+``tests/oracles.py``.
 """
 
 from .analysis import (
@@ -31,7 +32,6 @@ from .market import (
     post_offers,
     run_market,
 )
-from .pricing import PriceDensity, build_price_density, buyer_count
 from .scenario import ConfigError, ScenarioConfig, load_config, run_scenario
 from .walk import (
     WalkParams,

@@ -8,8 +8,8 @@ global money<->energy conversion rate.
 
 An ``EconomyConfig`` tabulates its costs once, when it is built: every
 per-unit cost, each job's total demand and the autarky energy. Everything
-else reads that table, and each job's price density is built once, on
-first use. The functions here are pure value-level functions:
+else reads that table; ``pricing`` sorts each job's break-evens from it
+where they are used. The functions here are pure value-level functions:
 no shared state, safe to call concurrently.
 """
 
@@ -24,8 +24,6 @@ from types import MappingProxyType
 from typing import Any
 
 import numpy as np
-
-from .pricing import PriceDensity, build_price_density
 
 # CSVs print ids unquoted, so an id holds none of these characters.
 ID_RULE = " must not contain a comma, a double quote, CR or LF"
@@ -298,14 +296,6 @@ class EconomyConfig:
             self.units = np.full((n, m), float(uniform) if n * m else 0.0)
         self.units.flags.writeable = False
         self._autarky = exact_sum(self.units, self.costs)
-
-    @functools.cached_property
-    def densities(self) -> list[PriceDensity]:
-        """Each job's density of break-evens, in job_id order, built on first use."""
-        return [
-            build_price_density(self.conversion * self.costs[:, c])
-            for c in range(self.costs.shape[1])
-        ]
 
     def player_ids(self) -> list[str]:
         return list(self._row)

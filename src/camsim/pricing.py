@@ -1,4 +1,4 @@
-"""Population price densities, buyer counts, and seller profit maximization.
+"""Break-even densities and seller profit maximization.
 
 With a finite population the break-even price distribution is atomic:
 point masses at the distinct self-costs. A buyer only trades when the
@@ -18,61 +18,43 @@ quantum under half its ulp). That candidate then has no buyer, and
 another must lie inside. With demand everywhere and budgets that cover
 the prices, round 1 trades exactly when some job has an offer.
 
-A density is two arrays from one ``np.unique``. ``first_offers`` posts
-each job's first two offers: it sorts the job's N break-evens once and
-prices them cheapest first, 1, 1, 2, 4, ... of them per pass, each in one
-O(N) pass over the candidates, until a certificate shows that no dearer
-seller can rank first or second. Two break-evens usually suffice; a job
-that never certifies is priced whole, in O(N²) time and O(N) memory
-beyond a block of ``_BLOCK_CELLS`` gains.
+``break_even_atoms`` and ``first_offers`` each sort every job's N
+break-evens once, into one row per job. ``break_even_atoms`` gives each
+job's density, which density.csv prints: a run of equal break-evens is an
+atom, and its length the atom's mass. ``first_offers`` posts each job's
+first two offers: it prices the sorted break-evens cheapest first, 1, 1,
+2, 4, ... of them per pass, each in one O(N) pass over the candidates,
+until a certificate shows that no dearer seller can rank first or second.
+Two break-evens usually suffice; a job that never certifies is priced
+whole, in O(N²) time and O(N) memory beyond a block of ``_BLOCK_CELLS``
+gains.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
-class PriceDensity:
-    """Point masses at the distinct break-evens: read-only copies of ``prices``
-    (float64, strictly increasing, >= 0) and ``masses`` (int64, >= 1)."""
-
-    prices: np.ndarray
-    masses: np.ndarray
-
-    def __post_init__(self) -> None:
-        prices = np.array(self.prices, dtype=float)
-        masses = np.array(self.masses, dtype=np.int64)
-        if prices.ndim != 1 or prices.shape != masses.shape:
-            raise ValueError("atom prices and masses must be 1-D and of one length")
-        if not (np.diff(prices) > 0).all():
-            raise ValueError("atom prices must be strictly increasing")
-        if not (prices >= 0).all():
-            raise ValueError("atom prices must be >= 0")
-        if not (masses >= 1).all():
-            raise ValueError("atom masses must be >= 1")
-        for name, a in (("prices", prices), ("masses", masses)):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+def break_even_atoms(
+    costs: np.ndarray, conversion: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each job's density of break-evens, ``conversion * cost``: job by job,
+    the job column, its distinct break-evens in increasing order and each
+    one's number of players. ``costs`` is the players x jobs table."""
+    atoms = _sorted_break_evens(costs, conversion)
+    first = np.ones(atoms.shape, bool)  # where a run of equal break-evens starts
+    np.not_equal(atoms[:, 1:], atoms[:, :-1], out=first[:, 1:])
+    job, at = np.nonzero(first)
+    return job, atoms[job, at], np.diff(job * atoms.shape[1] + at, append=atoms.size)
 
 
-def build_price_density(costs: list[float] | np.ndarray) -> PriceDensity:
-    """Group break-even prices into atoms, one per distinct price, with its count."""
-    costs = np.asarray(costs, dtype=float)
-    bad = costs[~(np.isfinite(costs) & (costs >= 0))]
-    if bad.size:
-        raise ValueError(f"costs must be finite and >= 0, got {bad[0]}")
-    return PriceDensity(*np.unique(costs, return_counts=True))
-
-
-def buyer_count(density: PriceDensity, posted: float) -> int:
-    """Players whose self-cost strictly exceeds the posted price."""
-    if posted < 0:
-        raise ValueError(f"posted price must be >= 0, got {posted}")
-    return int(density.masses[density.prices > posted].sum())
+def _sorted_break_evens(costs: np.ndarray, conversion: float) -> np.ndarray:
+    """The jobs x players table of break-evens, each job's row sorted."""
+    atoms = np.multiply(conversion, costs.T, order="C")
+    atoms.sort(axis=1)
+    return atoms
 
 
 # The most cells of the gains table one block holds, so that posting N
@@ -159,8 +141,7 @@ def _first_offers(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``first_offers`` for one block of jobs."""
     n, m = costs.shape
-    atoms = np.multiply(conversion, costs.T, order="C")  # jobs x players
-    atoms.sort(axis=1)  # each job's break-evens, in order
+    atoms = _sorted_break_evens(costs, conversion)
     cands, buyers = atoms - quantum, np.empty_like(atoms)
     for j in range(m):
         buyers[j] = atoms[j].searchsorted(cands[j], side="right")

@@ -49,6 +49,7 @@ from .market import (
     execute_round,
     post_offers,
 )
+from .pricing import break_even_atoms
 from .walk import WalkParams, derive_trace_seed, simulate_walk
 
 class ConfigError(ValueError):
@@ -596,12 +597,10 @@ def _savings_line(report: RoundReport) -> str:
 
 
 def _density_lines(config: EconomyConfig, d: int, buffer: _LineBuffer) -> _Pieces:
-    """density.csv as one text: each job's atoms, from ``config.densities``."""
-    jobs, densities = config.job_ids(), config.densities
-    job = np.repeat(np.arange(len(jobs)), [x.prices.size for x in densities])
-    prices = np.concatenate([np.empty(0), *(x.prices for x in densities)])
-    masses = np.concatenate([np.empty(0, np.int64), *(x.masses for x in densities)])
-    text = _lines(buffer, job.shape, _text_cells(jobs)[job], (prices, d), (masses, 0))
+    """density.csv as one text: each job's atoms, from ``break_even_atoms``."""
+    job, prices, masses = break_even_atoms(config.costs, config.conversion)
+    ids = _text_cells(config.job_ids())[job]
+    text = _lines(buffer, job.shape, ids, (prices, d), (masses, 0))
     return _Pieces(job.size, iter([text]))
 
 

@@ -17,13 +17,10 @@ from camsim import (
     EconomyConfig,
     MarketState,
     Offer,
-    PriceDensity,
     RoundReport,
     TradeRecord,
     autarky_energy,
     break_even_price,
-    build_price_density,
-    buyer_count,
     derive_trace_seed,
     pricing,
     simulate_walk,
@@ -38,6 +35,48 @@ from camsim.scenario import (
     _trade_lines,
     build_economy,
 )
+
+
+# The reference model of a job's break-evens as validated atoms. The program
+# prints the same atoms from ``pricing.break_even_atoms``.
+@dataclass(frozen=True, eq=False)
+class PriceDensity:
+    """Point masses at the distinct break-evens: read-only copies of ``prices``
+    (float64, strictly increasing, >= 0) and ``masses`` (int64, >= 1)."""
+
+    prices: np.ndarray
+    masses: np.ndarray
+
+    def __post_init__(self) -> None:
+        prices = np.array(self.prices, dtype=float)
+        masses = np.array(self.masses, dtype=np.int64)
+        if prices.ndim != 1 or prices.shape != masses.shape:
+            raise ValueError("atom prices and masses must be 1-D and of one length")
+        if not (np.diff(prices) > 0).all():
+            raise ValueError("atom prices must be strictly increasing")
+        if not (prices >= 0).all():
+            raise ValueError("atom prices must be >= 0")
+        if not (masses >= 1).all():
+            raise ValueError("atom masses must be >= 1")
+        for name, a in (("prices", prices), ("masses", masses)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+
+def build_price_density(costs: list[float] | np.ndarray) -> PriceDensity:
+    """Group break-even prices into atoms, one per distinct price, with its count."""
+    costs = np.asarray(costs, dtype=float)
+    bad = costs[~(np.isfinite(costs) & (costs >= 0))]
+    if bad.size:
+        raise ValueError(f"costs must be finite and >= 0, got {bad[0]}")
+    return PriceDensity(*np.unique(costs, return_counts=True))
+
+
+def buyer_count(density: PriceDensity, posted: float) -> int:
+    """Players whose self-cost strictly exceeds the posted price."""
+    if posted < 0:
+        raise ValueError(f"posted price must be >= 0, got {posted}")
+    return int(density.masses[density.prices > posted].sum())
 
 
 def optimal_price_arrays(

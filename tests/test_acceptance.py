@@ -14,8 +14,6 @@ from camsim import (
     JobSpec,
     Player,
     WalkParams,
-    build_price_density,
-    buyer_count,
     conservation_check,
     efficiency_wealth_correlation,
     gini,
@@ -27,10 +25,14 @@ from camsim import (
     simulate_walk,
     stationary_stats,
 )
+from camsim.pricing import break_even_atoms
 from camsim.scenario import artifact_digests
 from tests.oracles import (
+    PriceDensity,
     atoms,
     brute_force_min_assignment,
+    build_price_density,
+    buyer_count,
     buyer_counts,
     optimal_price,
     p_max,
@@ -142,7 +144,9 @@ def test_criterion_5_buyer_count_identities():
     for i in range(1000):
         n_costs = int(rng.integers(1, 60))
         costs = (rng.integers(0, 150, size=n_costs) * 0.5).tolist()
-        density = build_price_density(costs)
+        # The program's atoms, validated by the oracle's checks.
+        density = PriceDensity(*break_even_atoms(np.array(costs)[:, None], 1.0)[1:])
+        assert atoms(density) == atoms(build_price_density(costs))
         assert total_mass(density) == n_costs
         p1, p2 = sorted(rng.uniform(0, 80, size=2))
         assert buyer_count(density, p1) >= buyer_count(density, p2)

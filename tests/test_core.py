@@ -17,9 +17,11 @@ from camsim import (
 )
 from camsim.analysis import best_margins
 from camsim.assignment import cost_matrix
+from camsim.pricing import break_even_atoms
 from tests.oracles import (
     autarky_by_cell,
     best_margins_by_cell,
+    build_price_density,
     cost_by_cell,
     cost_matrix_by_cell,
     total_demand_by_scan,
@@ -123,6 +125,11 @@ def test_table_matches_per_cell_definitions(config):
     assert autarky_energy(config) == autarky_by_cell(config)
     assert np.array_equal(cost_matrix(config), cost_matrix_by_cell(config))
     assert best_margins(config).tolist() == best_margins_by_cell(config)
+    job, prices, masses = break_even_atoms(config.costs, config.conversion)
+    for c in range(config.costs.shape[1]):
+        density = build_price_density(config.conversion * config.costs[:, c])
+        assert prices[job == c].tobytes() == density.prices.tobytes()
+        assert masses[job == c].tolist() == density.masses.tolist()
     ids, jobs = config.player_ids(), config.job_ids()
     ids.append("ghost")
     jobs.clear()

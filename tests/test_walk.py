@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from camsim import WalkParams, derive_trace_seed, simulate_walk, stationary_stats
-from tests.oracles import p_max
+from tests.oracles import build_price_density, buyer_count, p_max
 
 
 def test_params_validation():
@@ -95,8 +95,6 @@ def test_derive_trace_seed_deterministic():
 
 def test_noisy_endpoints_density_smoke():
     """Walk endpoints fed into a price density keep buyers at 0 far above p_max."""
-    from camsim import build_price_density, buyer_count
-
     params = WalkParams(true_price=100.0, eta=0.5, sigma=10.0)
     endpoints = [
         float(simulate_walk(params, 500, seed=derive_trace_seed(5, i)).values[-1])
