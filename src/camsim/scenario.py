@@ -15,8 +15,8 @@ savings) are opened once. Each round's trades and savings lines are written
 as the round ends, then dropped, and its ledgers, updated in place, are
 copied into a block of wealth rows that is written when it fills. A round
 that repeats the last round's trades reuses their formatted lines. walk.csv
-is simulated and written in blocks of steps; only density.csv is built
-whole. Every number is printed as ``f"{v:.{d}f}"``. Wealth, walk and
+is simulated in pieces of steps and written in blocks; only density.csv is
+built whole. Every number is printed as ``f"{v:.{d}f}"``. Wealth, walk and
 density lines are assembled a block at a time by one writer, ``_lines``,
 whose number fields go through a fixed-point kernel (``_fixed_cells``)
 where rounding in floats is exact, take Python's digits for half-way
@@ -50,7 +50,7 @@ from .market import (
     post_offers,
 )
 from .pricing import break_even_atoms
-from .walk import WalkParams, derive_trace_seed, simulate_walk
+from .walk import WalkParams, check_walk_bound, derive_trace_seed, simulate_walk
 
 class ConfigError(ValueError):
     """Carries every validation problem found in a scenario."""
@@ -449,8 +449,10 @@ _WORDS.flags.writeable = False
 _LEADING, _DIGITS = _WORDS[: 2 * 10**4], _WORDS[10**4 : 2 * 10**4]
 _UNITS, _DOTTED = _WORDS[2 * 10**4 : 4 * 10**4], _WORDS[4 * 10**4 :]
 del _digits, _leading, _units, _dotted, _k
-# The wealth.csv and walk.csv rows formatted as one block.
+# The wealth.csv and walk.csv rows formatted as one block, and the blocks
+# of a walk simulated as one piece.
 _BLOCK_ROWS = 2048
+_PIECE_BLOCKS = 8
 
 
 def _fixed_cells(values: np.ndarray, d: int) -> np.ndarray | None:
@@ -475,20 +477,27 @@ def _fixed_cells(values: np.ndarray, d: int) -> np.ndarray | None:
     ``_DOTTED``; the bytes that no cell prints, those zeros and the widest
     integer part's leading ``_PAD``, are cut off. The sign is the sign bit,
     so ``-0.0`` prints ``-0``; a block without one has no sign column.
+    Integers at ``d = 0`` below 2**52 in size are exact already: q is |v|,
+    and they skip the rounding.
     """
-    v = np.asarray(values, dtype=np.float64)
-    if d > 22:  # 10**d is a float exactly up to 10**22
-        return None
-    with np.errstate(over="ignore"):
-        p = np.abs(v) * float(10**d)
-    if not (p < 2.0**52).all():
-        return None
-    r = np.rint(p)
-    half = np.flatnonzero(np.abs(p - r) == 0.5)
-    if half.size:
-        r.flat[half] = [int(f"{x:.{d}f}".replace(".", "")) for x in np.abs(v.flat[half]).tolist()]
+    v = np.asarray(values)
+    if v.dtype.kind == "i" and d == 0 and -(2**52) < v.min(initial=0) <= v.max(initial=0) < 2**52:
+        q, sign = np.abs(v).ravel(), (v < 0).ravel()  # printed as they are
+    else:
+        v = v.astype(np.float64, copy=False)
+        if d > 22:  # 10**d is a float exactly up to 10**22
+            return None
+        with np.errstate(over="ignore"):
+            p = np.abs(v) * float(10**d)
+        if not (p < 2.0**52).all():
+            return None
+        r = np.rint(p)
+        half = np.flatnonzero(np.abs(p - r) == 0.5)
+        if half.size:
+            r.flat[half] = [int(f"{x:.{d}f}".replace(".", "")) for x in np.abs(v.flat[half]).tolist()]
+        q, sign = r.astype(np.int64).ravel(), np.signbit(v).ravel()
     # q < 2**52 < 10**16, so for every d >= 16 q's integer part is 0.
-    q, scale = r.astype(np.int64).ravel(), 10 ** min(d, 16)
+    scale = 10 ** min(d, 16)
     whole = q // scale
     # The d fraction digits, then t zeros, so that "." and the digits fill
     # whole words; the zeros are cut off again. frac < 2**52·10**3 < 2**63.
@@ -510,7 +519,6 @@ def _fixed_cells(values: np.ndarray, d: int) -> np.ndarray | None:
     # No cell has digits in the widest one's leading _PAD bytes. The cells
     # are copied out of the words, so a block holds none of the bytes cut.
     cells = words.view(np.uint8)[:, 4 * high - m : 4 * (high + low) - t]
-    sign = np.signbit(v).ravel()
     if sign.any():
         cells = np.column_stack((np.where(sign, np.uint8(ord("-")), np.uint8(_PAD)), cells))
     else:
@@ -551,16 +559,17 @@ class _LineBuffer:
 def _lines(buffer: _LineBuffer, shape: tuple[int, ...], *fields: Field) -> str:
     """One CSV line per index of ``shape``, in row-major order, formatted in
     ``buffer``: each field's cells broadcast to ``shape + (their width,)``. A
-    number field prints through ``_fixed_cells``, or, when some cell of it is
-    out of that kernel's exact range, as the ``_text_cells`` of its
-    f-strings; both give the same bytes."""
+    number field prints through ``_fixed_cells`` (an integer column at d = 0
+    straight from its digit words), or, when some cell of it is out of that
+    kernel's exact range, as the ``_text_cells`` of its f-strings; both give
+    the same bytes."""
     cells = []
     for f in fields:
         if not isinstance(f, np.ndarray):
-            values, d = np.asarray(f[0], np.float64), f[1]
+            values, d = np.asarray(f[0]), f[1]
             f = _fixed_cells(values, d)
             if f is None:
-                f = _text_cells([f"{v:.{d}f}" for v in values.ravel().tolist()])
+                f = _text_cells([f"{v:.{d}f}" for v in values.ravel().astype(float).tolist()])
                 f = f.reshape(*values.shape, f.shape[-1])
         cells.append(f)
     lines = buffer.take((*shape, sum(c.shape[-1] + 1 for c in cells)))
@@ -605,22 +614,26 @@ def _density_lines(config: EconomyConfig, d: int, buffer: _LineBuffer) -> _Piece
 
 
 def _walk_lines(sc: ScenarioConfig, buffer: _LineBuffer) -> _Pieces:
-    """walk.csv in blocks of ``_BLOCK_ROWS`` steps, each simulated as it is
-    written: a trace's blocks draw from one generator, and each starts from
-    the last value of the one before, so they are the trace drawn whole."""
+    """walk.csv in blocks of ``_BLOCK_ROWS`` steps. A trace is simulated in
+    pieces of ``_PIECE_BLOCKS`` blocks, the last taking any shorter rest, as
+    it is written: a trace's pieces draw from one generator, and each starts
+    from the last value of the one before, so they are the trace drawn whole."""
     walk = sc.walk
+    size = _PIECE_BLOCKS * _BLOCK_ROWS
 
     def blocks() -> Iterator[str]:
         for i in range(walk.traces):
             trace = _text_cells([str(i)])
             seed = np.random.SeedSequence(derive_trace_seed(sc.master_seed, i))
             rng, last = np.random.default_rng(seed), None
-            for first in range(0, walk.steps, _BLOCK_ROWS):
-                steps = min(_BLOCK_ROWS, walk.steps - first)
-                values = simulate_walk(walk.params, steps, rng, start=last).values
+            starts = range(0, max(walk.steps - size, 0) + 1, size)
+            for first, end in zip(starts, [*starts[1:], walk.steps]):
+                values = simulate_walk(walk.params, end - first, rng, start=last).values
                 last = float(values[-1])
-                step = (np.arange(first, first + steps), 0)
-                yield _lines(buffer, (steps,), trace, step, (values, 9))
+                for at in range(0, end - first, _BLOCK_ROWS):
+                    block = values[at : at + _BLOCK_ROWS]
+                    step = (np.arange(first + at, first + at + block.size), 0)
+                    yield _lines(buffer, block.shape, trace, step, (block, 9))
 
     return _Pieces(walk.traces * -(-walk.steps // _BLOCK_ROWS), blocks())
 
@@ -670,12 +683,15 @@ def run_scenario(
     ConfigError when ``sc`` was built. An economy the config cannot
     describe, such as a player without an efficiency for some job, jobs
     without players, or one whose ledgers could overflow a float within
-    the rounds, raises ConfigError before any file is written.
+    the rounds, raises ConfigError before any file is written, as does a
+    walk whose values could overflow one (``check_walk_bound``).
     """
     try:
         config = build_economy(sc)
         state = MarketState.from_config(config, sc.initial_money)
         check_ledger_bound(config, state, sc.rounds)
+        if sc.walk is not None:
+            check_walk_bound(sc.walk.params)
         _, assignment_energy = optimal_assignment(config)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
@@ -687,9 +703,10 @@ def run_scenario(
     offers = post_offers(config)
     d = _price_decimals(sc.price_quantum)
     n_trades = 0
-    ids = _text_cells(config.player_ids())
     buffer = _LineBuffer()
-    block = np.empty((min(sc.rounds, max(1, _BLOCK_ROWS // (len(ids) or 1))), 3, len(ids)))
+    if "wealth" in paths:
+        ids = _text_cells(config.player_ids())
+        block = np.empty((min(sc.rounds, max(1, _BLOCK_ROWS // (len(ids) or 1))), 3, len(ids)))
     with ExitStack() as files:
         sinks = {}
         for kind, path in paths.items():

@@ -19,11 +19,11 @@ from camsim import (
     Offer,
     RoundReport,
     TradeRecord,
+    WalkParams,
     autarky_energy,
     break_even_price,
     derive_trace_seed,
     pricing,
-    simulate_walk,
 )
 from camsim.assignment import ENUMERATION_CAP, cost_matrix
 from camsim.market import SelfProduction
@@ -499,12 +499,32 @@ def wealth_lines(d: int, config: EconomyConfig, state: MarketState) -> list[str]
     ]
 
 
+def simulate_walk_by_step(
+    params: WalkParams, steps: int, seed: int, start: float | None = None
+) -> tuple[np.ndarray, int]:
+    """``simulate_walk``'s values and clamp count, the recursion stepped one
+    value at a time from the same drive."""
+    current = params.true_price if start is None else start
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    drive = params.eta * params.true_price + params.sigma * rng.standard_normal(steps)
+    decay = 1.0 - params.eta
+    values = []
+    clamped = 0
+    for d in drive.tolist():
+        current = decay * current + d
+        if current < 0:
+            current = 0.0
+            clamped += 1
+        values.append(current)
+    return np.array(values), clamped
+
+
 def walk_lines(sc: ScenarioConfig) -> list[str]:
-    """walk.csv's lines, each trace simulated whole and printed a cell at a time."""
+    """walk.csv's lines, each trace stepped whole and printed a cell at a time."""
     lines = []
     for i in range(sc.walk.traces):
         seed = derive_trace_seed(sc.master_seed, i)
-        values = simulate_walk(sc.walk.params, sc.walk.steps, seed).values.tolist()
+        values = simulate_walk_by_step(sc.walk.params, sc.walk.steps, seed)[0].tolist()
         lines += [f"{i},{step},{v:.9f}\n" for step, v in enumerate(values)]
     return lines
 

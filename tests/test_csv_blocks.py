@@ -257,8 +257,8 @@ def test_the_f_string_fallback_writes_the_kernel_bytes(tmp_path, monkeypatch, wo
 
 
 def test_walk_memory_does_not_grow_with_steps(tmp_path):
-    """walk.csv is simulated and written a block at a time, so ten times the
-    steps may not take ten times the memory."""
+    """walk.csv is simulated a piece and written a block at a time, so ten
+    times the steps may not take ten times the memory."""
 
     def peak(steps: int) -> int:
         sc = parse_mapping(

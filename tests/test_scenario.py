@@ -420,7 +420,8 @@ def test_every_csv_line_ends_and_fits_its_header(tmp_path):
 
 
 def test_walk_csv_memory_per_step(tmp_path):
-    """walk.csv is built whole, as one finished line per step."""
+    """walk.csv is simulated in pieces and printed in blocks, so its memory
+    per step stays small."""
     steps = 20_000
     sc = parse_mapping(
         golden_with(
@@ -1005,6 +1006,11 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
             "player 'P0001': efficiency for job 'x' must be finite and > 0, got 0.0",
         ),
         (
+            "outputs: [walk]\n"
+            "walk: {true_price: 1.0e300, eta: 0.5, sigma: 1.0e308, steps: 100, traces: 1}",
+            "walk: true_price + (eta * true_price + 16 * sigma) / min(eta, 1) must be below 2**1020",
+        ),
+        (
             "players: [{player_id: 'P,1', efficiencies: {x: 1.0, y: 1.0}}]",
             "players[0]: player_id must not contain a comma, a double quote, CR or LF",
         ),
@@ -1041,6 +1047,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         "ledger-overflow",
         "pareto-draw-overflow",
         "log-normal-draw-underflow",
+        "walk-overflow",
         "player-id-comma",
         "player-id-newline",
         "job-id-quote",
