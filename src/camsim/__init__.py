@@ -21,6 +21,7 @@ from .analysis import (
     system_savings_series,
 )
 from .assignment import optimal_assignment
+from .config import ConfigError, ScenarioConfig, WalkParams, load_config
 from .core import EconomyConfig, JobSpec, Player, autarky_energy, break_even_price
 from .market import (
     MarketState,
@@ -32,9 +33,8 @@ from .market import (
     post_offers,
     run_market,
 )
-from .scenario import ConfigError, ScenarioConfig, load_config, run_scenario
+from .scenario import run_scenario
 from .walk import (
-    WalkParams,
     WalkTrace,
     derive_trace_seed,
     simulate_walk,

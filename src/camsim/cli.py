@@ -13,9 +13,10 @@ from dataclasses import replace
 
 import numpy as np
 
+from .config import ConfigError, load_config
 from .core import EconomyConfig
 from .market import RoundReport, conservation_check, run_market
-from .scenario import ConfigError, load_config, run_scenario
+from .scenario import run_scenario
 
 
 def _no_trade_failures(config: EconomyConfig) -> list[str]:

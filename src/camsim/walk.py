@@ -35,22 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class WalkParams:
-    """A walk's parameters. Built in code, they hold to the YAML's rules
-    (``scenario.WALK_PARAM_RULES``) and raise its ConfigError."""
-
-    true_price: float
-    eta: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        from .scenario import WALK_PARAM_RULES, _check_fields  # scenario imports this module
-
-        _check_fields(self, WALK_PARAM_RULES)
-        # A -0.0 true price walks from 0.0, so walk.csv never prints -0.
-        object.__setattr__(self, "true_price", self.true_price + 0.0)
+from .config import WalkParams
 
 
 @dataclass(frozen=True)

@@ -26,15 +26,10 @@ from camsim import (
     pricing,
 )
 from camsim.assignment import ENUMERATION_CAP, cost_matrix
+from camsim.config import ScenarioConfig, build_economy
+from camsim.csvtext import HEADERS
 from camsim.market import SelfProduction
-from camsim.scenario import (
-    HEADERS,
-    ScenarioConfig,
-    _price_decimals,
-    _savings_line,
-    _trade_lines,
-    build_economy,
-)
+from camsim.scenario import _price_decimals, _savings_line, _trade_lines
 
 
 # The reference model of a job's break-evens as validated atoms. The program

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import camsim
-from camsim import market, scenario
+from camsim import csvtext, market, scenario
 from camsim.cli import main
-from camsim.scenario import _PAD, _fixed_cells, artifact_digests, parse_mapping, run_scenario
+from camsim.config import parse_mapping
+from camsim.csvtext import _PAD, _fixed_cells
+from camsim.scenario import artifact_digests, run_scenario
 from tests.oracles import run_scenario_by_cell
 from tests.test_market import count_repeats
 from tests.test_scenario import ALTERNATING, assert_same_bytes, golden_with, small_scenarios
@@ -98,10 +101,10 @@ def test_a_block_of_2048_rows_and_three_fields_peaks_below_the_digit_kernel():
     and is 321,030 bytes with words."""
     rng = np.random.default_rng(0)
     fields = [(rng.uniform(0.0, hi, 2048), d) for hi, d in ((2e4, 2), (5e4, 9), (3e3, 9))]
-    scenario._lines(scenario._LineBuffer(), (2048,), *fields)  # warm-up
+    csvtext._lines(csvtext._LineBuffer(), (2048,), *fields)  # warm-up
     tracemalloc.start()
     try:
-        text = scenario._lines(scenario._LineBuffer(), (2048,), *fields)
+        text = csvtext._lines(csvtext._LineBuffer(), (2048,), *fields)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -238,20 +241,29 @@ def test_the_f_string_fallback_writes_the_kernel_bytes(tmp_path, monkeypatch, wo
     """With the kernel refusing fields, wealth, walk and density print those
     fields through the one f-string fallback, the step and mass columns as
     ``.0f`` of a float, and all five outputs keep the kernel's bytes and the
-    oracle's."""
+    oracle's. The kernel refuses each refused ``d`` of the run at least once,
+    so a patch that ``_lines`` does not read fails here."""
     raw = yaml.safe_load(workload.read_bytes())
     raw["rounds"] = 30
-    raw["outputs"] = list(scenario.OUTPUT_KINDS)
+    raw["outputs"] = list(csvtext.OUTPUT_KINDS)
     raw["walk"] = {**raw.get("walk", {"true_price": 1.0, "eta": 0.5, "sigma": 0.1}), "steps": 3000}
     sc = parse_mapping(raw)
     kernel = run_scenario(sc, tmp_path / "kernel")["paths"]
-    kernel_cells = scenario._fixed_cells
-    monkeypatch.setattr(
-        scenario,
-        "_fixed_cells",
-        lambda values, d: None if refuses(d) else kernel_cells(values, d),
-    )
+    kernel_cells = csvtext._fixed_cells
+    refused = Counter()
+
+    def refusing(values, d):
+        if refuses(d):
+            refused[d] += 1
+            return None
+        return kernel_cells(values, d)
+
+    monkeypatch.setattr(csvtext, "_fixed_cells", refusing)
     fallback = run_scenario(sc, tmp_path / "fallback")["paths"]
+    # Steps and masses print at 0 decimals, prices at the quantum's, energies
+    # and walk values at 9.
+    decimals = {0, 9, scenario._price_decimals(sc.price_quantum)}
+    assert all(refused[d] for d in decimals if refuses(d)), refused
     assert_same_bytes(fallback, kernel)
     assert_same_bytes(fallback, run_scenario_by_cell(sc, tmp_path / "oracle"))
 

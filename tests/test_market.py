@@ -25,7 +25,7 @@ from camsim import (
     pricing,
     run_market,
 )
-from camsim.scenario import build_economy, load_config
+from camsim.config import build_economy, load_config
 from tests.oracles import execute_round_by_cell, post_offers_by_full_table, ranked_offers
 from tests.test_pricing import nudge
 
@@ -360,7 +360,8 @@ def test_post_offers_imports_nothing():
     script = (
         "import sys\n"
         "import camsim.cli\n"
-        "from camsim.scenario import build_economy, load_config, post_offers\n"
+        "from camsim.config import build_economy, load_config\n"
+        "from camsim.market import post_offers\n"
         f"config = build_economy(load_config({str(root / 'tests/data/golden.yaml')!r}))\n"
         "before = set(sys.modules)\n"
         "assert post_offers(config)\n"

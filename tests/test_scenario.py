@@ -19,21 +19,19 @@ from camsim import (
     load_config,
     market,
     run_scenario,
-    scenario,
 )
 from camsim.cli import _no_trade_failures, main
-from camsim.pricing import break_even_atoms
-from camsim.scenario import (
-    HEADERS,
-    OUTPUT_KINDS,
+from camsim.config import (
+    _LOADER,
     PopulationSpec,
     ScenarioConfig,
     WalkRun,
-    artifact_digests,
     build_economy,
-    export_csv,
     parse_mapping,
 )
+from camsim.csvtext import HEADERS, OUTPUT_KINDS, export_csv
+from camsim.pricing import break_even_atoms
+from camsim.scenario import artifact_digests
 from camsim.walk import WalkParams
 from tests.oracles import run_scenario_by_cell
 from tests.test_market import recorded_batches
@@ -99,7 +97,7 @@ def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
 def test_libyaml_and_python_loaders_build_the_same_tree(path):
     """load_config parses with libyaml when PyYAML has it; every scenario
     file in the repository loads to the same tree, types included."""
-    assert scenario._LOADER is yaml.CSafeLoader
+    assert _LOADER is yaml.CSafeLoader
     trees = [yaml.load(path.read_bytes(), Loader=loader) for loader in LOADERS]
     assert repr(trees[0]) == repr(trees[1])
 
@@ -109,7 +107,7 @@ def test_libyaml_and_python_loaders_build_the_same_tree(path):
 def test_cli_bad_yaml_exits_2_in_one_line_with_either_loader(
     tmp_path, capsys, monkeypatch, loader, text
 ):
-    monkeypatch.setattr(scenario, "_LOADER", loader)
+    monkeypatch.setattr("camsim.config._LOADER", loader)
     cfg, out = tmp_path / "bad.yaml", tmp_path / "out"
     cfg.write_bytes(text)
     assert main([str(cfg), "-o", str(out)]) == 2

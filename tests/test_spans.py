@@ -81,7 +81,9 @@ def test_layer_metrics_read_a_checked_run(tmp_path):
     and ``savings``, so that the trading pairs come from the replay, and
     once with a walk, whose blocks ``export_csv`` counts as rows. A config
     attribute or report field the metrics read, gone from ``src/``, fails
-    here rather than only under ``--trace 1``."""
+    here rather than only under ``--trace 1``. The walk run fires every span
+    in ``PATCHES``: a caller that stops looking a name up where the span
+    wraps it would otherwise read 0 s for that layer."""
     golden = DATA / "golden.yaml"
     outputs = "outputs: [trades, wealth, savings, density]"
     replay = tmp_path / "replay.yaml"
@@ -103,8 +105,10 @@ def test_layer_metrics_read_a_checked_run(tmp_path):
             out = tmp_path / config.stem
             assert entry([str(config), "-o", str(out), "--check"]) == 0
             runs.append(tracer.layer_metrics())
+            fired = {span[0] for span in tracer.spans}
         finally:
             tracer.uninstall()
+    assert {span for _, _, span in PATCHES} <= fired
     detail, replayed, walked = runs
     assert replayed.keys() == detail.keys() == walked.keys()
     assert all(math.isfinite(v) for run in runs for v in run.values())

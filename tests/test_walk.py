@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camsim import WalkParams, derive_trace_seed, simulate_walk, stationary_stats, walk
-from camsim.scenario import _BLOCK_ROWS, _PIECE_BLOCKS, _LineBuffer, _walk_lines, load_config
+from camsim.config import load_config
+from camsim.csvtext import _LineBuffer
+from camsim.scenario import _BLOCK_ROWS, _PIECE_BLOCKS, _walk_lines
 from camsim.walk import check_walk_bound
 from tests.oracles import build_price_density, buyer_count, p_max, simulate_walk_by_step, walk_lines
 
