@@ -358,14 +358,11 @@ def load_config(path: str | Path, master_seed: int | None = None) -> ScenarioCon
 def build_economy(sc: ScenarioConfig) -> EconomyConfig:
     """Materialize the economy. A generated population is drawn as one
     efficiency table and passed in as it is, never as ``Player`` objects."""
-    if sc.players is not None:
-        ids = [p.player_id for p in sc.players]
-    else:
-        width = max(4, len(str(sc.population.count)))
-        ids = list(map(f"P{{:0{width}d}}".format, range(1, sc.population.count + 1)))
     rest = dict(demand=sc.demand, conversion=sc.conversion, price_quantum=sc.price_quantum)
     if sc.players is not None:
         return EconomyConfig.of(sc.players, sc.jobs, **rest)
+    width = max(4, len(str(sc.population.count)))
+    ids = list(map(f"P{{:0{width}d}}".format, range(1, sc.population.count + 1)))
     rng = np.random.default_rng(np.random.SeedSequence(sc.master_seed, spawn_key=(0,)))
     pop, jobs = sc.population, sorted(sc.jobs, key=lambda j: j.job_id)
     names, draw = EFFICIENCY_DRAWS[pop.efficiency_distribution]

@@ -9,7 +9,6 @@ f-strings, field by field, where the kernel refuses.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -171,30 +170,12 @@ def _text_cells(texts: Sequence[str]) -> np.ndarray:
 Field = np.ndarray | tuple[Any, int]
 
 
-class _LineBuffer:
-    """One run's bytes for its blocks of CSV lines, grown only when a block
-    needs more. Freeing each block's bytes would hand the pages back to the
-    OS, past the allocator's trim threshold, and the next block would fault
-    them in again."""
-
-    def __init__(self) -> None:
-        self._bytes = np.empty(0, np.uint8)
-
-    def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        """The buffer's first bytes as an uninitialised uint8 array of ``shape``."""
-        size = math.prod(shape)
-        if size > self._bytes.size:
-            self._bytes = np.empty(size, np.uint8)
-        return self._bytes[:size].reshape(shape)
-
-
-def _lines(buffer: _LineBuffer, shape: tuple[int, ...], *fields: Field) -> str:
-    """One CSV line per index of ``shape``, in row-major order, formatted in
-    ``buffer``: each field's cells broadcast to ``shape + (their width,)``. A
-    number field prints through ``_fixed_cells`` (an integer column at d = 0
-    straight from its digit words), or, when some cell of it is out of that
-    kernel's exact range, as the ``_text_cells`` of its f-strings; both give
-    the same bytes."""
+def _lines(shape: tuple[int, ...], *fields: Field) -> str:
+    """One CSV line per index of ``shape``, in row-major order: each field's
+    cells broadcast to ``shape + (their width,)``. A number field prints
+    through ``_fixed_cells`` (an integer column at d = 0 straight from its
+    digit words), or, when some cell of it is out of that kernel's exact
+    range, as the ``_text_cells`` of its f-strings; both give the same bytes."""
     cells = []
     for f in fields:
         if not isinstance(f, np.ndarray):
@@ -204,7 +185,7 @@ def _lines(buffer: _LineBuffer, shape: tuple[int, ...], *fields: Field) -> str:
                 f = _text_cells([f"{v:.{d}f}" for v in values.ravel().astype(float).tolist()])
                 f = f.reshape(*values.shape, f.shape[-1])
         cells.append(f)
-    lines = buffer.take((*shape, sum(c.shape[-1] + 1 for c in cells)))
+    lines = np.empty((*shape, sum(c.shape[-1] + 1 for c in cells)), np.uint8)
     at = 0
     for c in cells:
         w = c.shape[-1]

@@ -180,7 +180,7 @@ class _RoundPlan:
 
     def __init__(self, config: EconomyConfig, offers: tuple[Offer, ...]):
         self.config, self.offers = config, offers
-        row = {pid: r for r, pid in enumerate(config.player_ids())}
+        row = config._row  # the config's own map: read it, never change it
         costs, units = config.costs, config.units
         listed: dict[str, list[Offer]] = {}
         for off in offers:

@@ -26,7 +26,6 @@ from .config import ConfigError, ScenarioConfig, build_economy
 from .core import EconomyConfig, autarky_energy
 from .csvtext import (
     HEADERS,
-    _LineBuffer,
     _lines,
     _open,
     _Pieces,
@@ -73,15 +72,15 @@ def _savings_line(report: RoundReport) -> str:
     return f"{rnd},{autarky:.9f},{expended:.9f},{saved:.9f},{frac:.9f}\n"
 
 
-def _density_lines(config: EconomyConfig, d: int, buffer: _LineBuffer) -> _Pieces:
+def _density_lines(config: EconomyConfig, d: int) -> _Pieces:
     """density.csv as one text: each job's atoms, from ``break_even_atoms``."""
     job, prices, masses = break_even_atoms(config.costs, config.conversion)
     ids = _text_cells(config.job_ids())[job]
-    text = _lines(buffer, job.shape, ids, (prices, d), (masses, 0))
+    text = _lines(job.shape, ids, (prices, d), (masses, 0))
     return _Pieces(job.size, iter([text]))
 
 
-def _walk_lines(sc: ScenarioConfig, buffer: _LineBuffer) -> _Pieces:
+def _walk_lines(sc: ScenarioConfig) -> _Pieces:
     """walk.csv in blocks of ``_BLOCK_ROWS`` steps. A trace is simulated in
     pieces of ``_PIECE_BLOCKS`` blocks, the last taking any shorter rest, as
     it is written: a trace's pieces draw from one generator, and each starts
@@ -101,7 +100,7 @@ def _walk_lines(sc: ScenarioConfig, buffer: _LineBuffer) -> _Pieces:
                 for at in range(0, end - first, _BLOCK_ROWS):
                     block = values[at : at + _BLOCK_ROWS]
                     step = (np.arange(first + at, first + at + block.size), 0)
-                    yield _lines(buffer, block.shape, trace, step, (block, 9))
+                    yield _lines(block.shape, trace, step, (block, 9))
 
     return _Pieces(walk.traces * -(-walk.steps // _BLOCK_ROWS), blocks())
 
@@ -117,10 +116,9 @@ def run_scenario(
     trades and savings CSVs, and ``observe(report, config)``, when given,
     sees its report. Each round's ledgers are copied into a block of at
     most ``_BLOCK_ROWS`` wealth rows, whose text is written when the block
-    is full and after the last round; every wealth, walk and density block
-    is formatted in one ``_LineBuffer``. No round's state or report
-    outlives the round, and only the last distinct trades' lines do, so
-    memory does not grow with the number of rounds.
+    is full and after the last round. No round's state or report outlives
+    the round, and only the last distinct trades' lines do, so memory does
+    not grow with the number of rounds.
 
     Returns the paths written (``paths``), the economy (``config``), the
     trades over all rounds (``n_trades``), and the per-round energy of the
@@ -149,7 +147,6 @@ def run_scenario(
     offers = post_offers(config)
     d = _price_decimals(sc.price_quantum)
     n_trades = 0
-    buffer = _LineBuffer()
     if "wealth" in paths:
         ids = _text_cells(config.player_ids())
         block = np.empty((min(sc.rounds, max(1, _BLOCK_ROWS // (len(ids) or 1))), 3, len(ids)))
@@ -157,9 +154,9 @@ def run_scenario(
         sinks = {}
         for kind, path in paths.items():
             if kind == "density":
-                export_csv(_density_lines(config, d, buffer), HEADERS[kind], path)
+                export_csv(_density_lines(config, d), HEADERS[kind], path)
             elif kind == "walk":
-                export_csv(_walk_lines(sc, buffer), HEADERS[kind], path)
+                export_csv(_walk_lines(sc), HEADERS[kind], path)
             else:
                 with _writing(path):
                     sinks[kind] = files.enter_context(_open(path, HEADERS[kind]))
@@ -190,9 +187,9 @@ def run_scenario(
                 if k == len(block) or n + 1 == sc.rounds:
                     money, spent, saved = block[:k].transpose(1, 0, 2)
                     first = state.round - k + 1
-                    rounds = _text_cells([str(r) for r in range(first, first + k)])
-                    fields = rounds[:, None], ids, (money, d), (spent, 9), (saved, 9)
-                    write("wealth", _lines(buffer, (k, len(ids)), *fields))
+                    rounds = np.arange(first, first + k)[:, None]
+                    fields = (rounds, 0), ids, (money, d), (spent, 9), (saved, 9)
+                    write("wealth", _lines((k, len(ids)), *fields))
             if "savings" in sinks:
                 write("savings", _savings_line(report))
         for kind, fh in sinks.items():

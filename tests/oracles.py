@@ -29,7 +29,7 @@ from camsim.assignment import ENUMERATION_CAP, cost_matrix
 from camsim.config import ScenarioConfig, build_economy
 from camsim.csvtext import HEADERS
 from camsim.market import SelfProduction
-from camsim.scenario import _price_decimals, _savings_line, _trade_lines
+from camsim.scenario import _price_decimals
 
 
 # The reference model of a job's break-evens as validated atoms. The program
@@ -451,9 +451,9 @@ def execute_round_by_cell(
 
 def run_scenario_by_cell(sc: ScenarioConfig, out_dir: Path) -> dict[str, Path]:
     """run_scenario's CSVs from the slow references: every seller's offer,
-    the per-cell round, and each round's lines built afresh, the trades one
-    line at a time, and every wealth, walk and density cell by its own
-    f-string. Returns the path of each output written.
+    the per-cell round, and each round's lines built afresh, a trade or a
+    cell at a time, by f-strings of this module's own. Returns the path of
+    each output written.
     """
     config = build_economy(sc)
     state = MarketState.from_config(config, sc.initial_money)
@@ -472,17 +472,34 @@ def run_scenario_by_cell(sc: ScenarioConfig, out_dir: Path) -> dict[str, Path]:
         state, report = execute_round_by_cell(config, state, offers)
         for kind, lines in texts.items():
             if kind == "trades":
-                lines += [f"{report.round},{t}\n" for t in _trade_lines(d, report.trades)]
+                lines += trade_lines(d, report)
             elif kind == "wealth":
                 lines += wealth_lines(d, config, state)
             elif kind == "savings":
-                lines.append(_savings_line(report))
+                lines.append(savings_line(report))
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
     for kind, lines in texts.items():
         paths[kind] = out_dir / f"{kind}.csv"
         paths[kind].write_bytes("".join(lines).encode())
     return paths
+
+
+def trade_lines(d: int, report: RoundReport) -> list[str]:
+    """One round's trades.csv lines, a trade at a time."""
+    return [
+        f"{report.round},{t.buyer},{t.seller},{t.job},{t.units},{t.price:.{d}f},"
+        f"{t.buyer_self_cost:.9f},{t.seller_cost:.9f},{t.system_energy_saved:.9f}\n"
+        for t in report.trades
+    ]
+
+
+def savings_line(report: RoundReport) -> str:
+    """One round's savings.csv line, from its totals."""
+    autarky, expended = report.autarky_energy, report.energy_expended_total
+    saved = autarky - expended
+    frac = saved / autarky if autarky else 0.0
+    return f"{report.round},{autarky:.9f},{expended:.9f},{saved:.9f},{frac:.9f}\n"
 
 
 def wealth_lines(d: int, config: EconomyConfig, state: MarketState) -> list[str]:

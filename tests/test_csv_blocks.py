@@ -96,15 +96,15 @@ def test_cells_at_word_edges_print_as_python_does(d, signs):
 
 def test_a_block_of_2048_rows_and_three_fields_peaks_below_the_digit_kernel():
     """One wealth block of 2,048 lines: money at 2 decimals and two energies
-    at 9, formatted in a fresh buffer. Its tracemalloc peak was at most
+    at 9, formatted in bytes of its own. Its tracemalloc peak was at most
     339,902 bytes in three runs when the kernel printed a digit at a time,
     and is 321,030 bytes with words."""
     rng = np.random.default_rng(0)
     fields = [(rng.uniform(0.0, hi, 2048), d) for hi, d in ((2e4, 2), (5e4, 9), (3e3, 9))]
-    csvtext._lines(csvtext._LineBuffer(), (2048,), *fields)  # warm-up
+    csvtext._lines((2048,), *fields)  # warm-up
     tracemalloc.start()
     try:
-        text = csvtext._lines(csvtext._LineBuffer(), (2048,), *fields)
+        text = csvtext._lines((2048,), *fields)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -315,7 +315,7 @@ def small_scenarios(draw) -> ScenarioConfig:
     return ScenarioConfig(
         jobs=jobs,
         conversion=draw(st.floats(0.5, 2.0)),
-        price_quantum=draw(st.sampled_from([1.0, 0.5, 0.25, 0.01])),
+        price_quantum=draw(st.sampled_from([1.0, 0.5, 0.25, 0.125, 0.01, 0.001])),
         rounds=draw(st.integers(1, 6)),
         master_seed=draw(st.integers(0, 2**32)),
         outputs=list(OUTPUT_KINDS),

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from camsim import WalkParams, derive_trace_seed, simulate_walk, stationary_stats, walk
 from camsim.config import load_config
-from camsim.csvtext import _LineBuffer
 from camsim.scenario import _BLOCK_ROWS, _PIECE_BLOCKS, _walk_lines
 from camsim.walk import check_walk_bound
 from tests.oracles import build_price_density, buyer_count, p_max, simulate_walk_by_step, walk_lines
@@ -209,7 +208,7 @@ def test_the_bench_walk_takes_no_step_of_the_loop(stepped, seed):
     """The benchmark's walk is all lanes: a fast path that stopped firing
     would fail here, not only cost time. Its pieces print the whole trace."""
     sc = load_config(LONG_LEDGER, seed)
-    text = "".join(_walk_lines(sc, _LineBuffer()))
+    text = "".join(_walk_lines(sc))
     assert stepped == []
     assert text == "".join(walk_lines(sc))
 
