@@ -170,8 +170,10 @@ class EconomyConfig:
     that view over the same ids reads the int from it. ``starting_money`` is
     ``money`` in that row order, which ``market.MarketState`` keeps its
     ledgers in, and ``round_bound`` the most one round can move into any
-    ledger, in energy or money. A config never changes: build a changed one
-    with ``dataclasses.replace``.
+    ledger, in energy or money. Its tables never change: build a changed
+    config with ``dataclasses.replace``. Only ``_passed`` is written, by
+    ``market.conservation_check``, which keeps there the last records it
+    passed against this config, and their sums.
     """
 
     players: Sequence[str]

@@ -108,25 +108,20 @@ def _fixed_cells(values: np.ndarray, d: int) -> np.ndarray | None:
     ``_DOTTED``; the bytes that no cell prints, those zeros and the widest
     integer part's leading ``_PAD``, are cut off. The sign is the sign bit,
     so ``-0.0`` prints ``-0``; a block without one has no sign column.
-    Integers at ``d = 0`` below 2**52 in size are exact already: q is |v|,
-    and they skip the rounding.
+    An integer is printed as a float64, which holds it exactly below 2**52.
     """
-    v = np.asarray(values)
-    if v.dtype.kind == "i" and d == 0 and -(2**52) < v.min(initial=0) <= v.max(initial=0) < 2**52:
-        q, sign = np.abs(v).ravel(), (v < 0).ravel()  # printed as they are
-    else:
-        v = v.astype(np.float64, copy=False)
-        if d > 22:  # 10**d is a float exactly up to 10**22
-            return None
-        with np.errstate(over="ignore"):
-            p = np.abs(v) * float(10**d)
-        if not (p < 2.0**52).all():
-            return None
-        r = np.rint(p)
-        half = np.flatnonzero(np.abs(p - r) == 0.5)
-        if half.size:
-            r.flat[half] = [int(f"{x:.{d}f}".replace(".", "")) for x in np.abs(v.flat[half]).tolist()]
-        q, sign = r.astype(np.int64).ravel(), np.signbit(v).ravel()
+    if d > 22:  # 10**d is a float exactly up to 10**22
+        return None
+    v = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        p = np.abs(v) * float(10**d)
+    if not (p < 2.0**52).all():
+        return None
+    r = np.rint(p)
+    half = np.flatnonzero(np.abs(p - r) == 0.5)
+    if half.size:
+        r.flat[half] = [int(f"{x:.{d}f}".replace(".", "")) for x in np.abs(v.flat[half]).tolist()]
+    q, sign = r.astype(np.int64).ravel(), np.signbit(v).ravel()
     # q < 2**52 < 10**16, so for every d >= 16 q's integer part is 0.
     scale = 10 ** min(d, 16)
     whole = q // scale
@@ -173,9 +168,8 @@ Field = np.ndarray | tuple[Any, int]
 def _lines(shape: tuple[int, ...], *fields: Field) -> str:
     """One CSV line per index of ``shape``, in row-major order: each field's
     cells broadcast to ``shape + (their width,)``. A number field prints
-    through ``_fixed_cells`` (an integer column at d = 0 straight from its
-    digit words), or, when some cell of it is out of that kernel's exact
-    range, as the ``_text_cells`` of its f-strings; both give the same bytes."""
+    through ``_fixed_cells``, or as the ``_text_cells`` of its f-strings when
+    some cell is out of that kernel's exact range; both give the same bytes."""
     cells = []
     for f in fields:
         if not isinstance(f, np.ndarray):

@@ -421,7 +421,8 @@ def conservation_check(report: RoundReport, config: EconomyConfig) -> bool:
     saved must equal the round's autarky energy within 1e-9 relative. When
     trade detail was recorded, each record must also be internally
     consistent (strict buyer improvement, correct saved energy) and the
-    recorded detail must reproduce the ledger totals.
+    recorded detail must reproduce the ledger totals. A NaN total, price
+    or energy fails the test it enters.
 
     The per-record checks and sums read only the records and the config, so
     records that are the same tuples as the last to pass under this config
@@ -433,14 +434,14 @@ def conservation_check(report: RoundReport, config: EconomyConfig) -> bool:
         return False
     autarky = autarky_energy(config)
     gap = abs(report.energy_expended_total + report.energy_saved_total - autarky)
-    if gap > 1e-9 * autarky:
+    if not gap <= 1e-9 * autarky:
         return False
     trades, selfs = report.trades, report.self_productions
     if trades or selfs:
         last_trades, last_selfs, expended, saved = config._passed or (None, None, 0.0, 0.0)
         if not (trades is last_trades and selfs is last_selfs):
             for t in trades:
-                if t.price >= config.conversion * t.buyer_self_cost:
+                if not t.price < config.conversion * t.buyer_self_cost:
                     return False
                 if t.system_energy_saved != t.units * (t.buyer_self_cost - t.seller_cost):
                     return False
@@ -449,9 +450,9 @@ def conservation_check(report: RoundReport, config: EconomyConfig) -> bool:
             )
             saved = math.fsum(t.system_energy_saved for t in trades)
             config._passed = (trades, selfs, expended, saved)
-        if abs(expended - report.energy_expended_total) > 1e-9 * max(autarky, 1.0):
+        if not abs(expended - report.energy_expended_total) <= 1e-9 * max(autarky, 1.0):
             return False
-        if abs(saved - report.energy_saved_total) > 1e-9 * max(autarky, 1.0):
+        if not abs(saved - report.energy_saved_total) <= 1e-9 * max(autarky, 1.0):
             return False
     return True
 

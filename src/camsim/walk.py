@@ -120,7 +120,6 @@ def _lanes(drive: np.ndarray, decay: float, start: float, guess: float, width: i
     begin. Returns the value at each position of ``drive``; only
     ``_verified`` tells which of them are the recursion's.
     """
-    decay = np.float64(decay)  # a Python float would be converted at every step
     n = drive.size
     lanes = -(-n // width)
     padded = np.zeros(lanes * width)

@@ -87,11 +87,19 @@ WORD_EDGES = [9999.5, 10000.0, 10.0**8 - 1, 10.0**8, 9999.0, 0.0, 0.5, 0.25, 123
 def test_cells_at_word_edges_print_as_python_does(d, signs):
     """Every d % 4, twice, with integer parts of 1, 4, 5, 8 and 9 digits.
     The cells are as wide as the widest without its sign, plus a sign column
-    only in a block with a negative cell."""
+    only in a block with a negative cell. At d = 0, int64 cells (as wealth
+    rounds, walk steps and density masses are) print as their floats up to
+    2**52 - 1 in size, and a block with one of 2**52 is refused."""
     values = WORD_EDGES if signs == "positive" else [-v for v in WORD_EDGES[::2]] + WORD_EDGES[1::2]
     assert cell_texts(values, d) == [f"{v:.{d}f}" for v in values]
     width = max(len(f"{abs(v):.{d}f}") for v in values) + (signs == "mixed")
     assert _fixed_cells(np.array(values), d).shape == (len(values), width)
+    if d == 0:
+        ints = [0, 1, 9999, 10**4, 10**8 - 1, 10**8, 2**52 - 1]
+        ints = ints if signs == "positive" else [-v for v in ints] + ints
+        assert cell_texts(ints, 0) == [f"{float(v):.0f}" for v in ints]
+        for out_of_range in ([2**52], [5, -(2**52)]):
+            assert _fixed_cells(np.array(out_of_range, np.int64), 0) is None
 
 
 def test_a_block_of_2048_rows_and_three_fields_peaks_below_the_digit_kernel():

@@ -779,6 +779,18 @@ def test_conservation_check_negative_controls(golden):
     assert not conservation_check(
         dataclasses.replace(report, trades=tuple(corrupted)), golden
     )
+    # a NaN fails every test it enters, though it compares False both ways
+    nan = float("nan")
+    trades, selfs = list(report.trades), list(report.self_productions)
+    trades[0] = dataclasses.replace(trades[0], price=nan)
+    selfs[0] = dataclasses.replace(selfs[0], energy=nan)
+    for forged in (
+        dataclasses.replace(report, trades=tuple(trades)),
+        dataclasses.replace(report, self_productions=tuple(selfs)),
+        dataclasses.replace(report, energy_expended_total=nan),
+        dataclasses.replace(report, energy_saved_total=nan),
+    ):
+        assert not conservation_check(forged, golden)
 
 
 def test_conservation_check_checks_each_set_of_records_until_it_passes(golden):
