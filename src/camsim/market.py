@@ -167,47 +167,46 @@ class _Outcome:
 
 
 class _RoundPlan:
-    """What every round against one list of offers shares, cell by cell.
+    """What every round against one list of offers shares.
 
     The cells are the config's players x jobs, in the cost table's order.
-    A cell's offer is the first offer for its job or, in the row of that
-    offer's own seller, the first offer from someone else; ``seller`` is
-    the offer's row, -1 without one. A cell ``wants`` to buy when it has
-    demand and an offer priced strictly below the buyer's break-even, and
-    then costs it ``total``, the price times its units. Every amount is the
-    expression the per-cell loop evaluates for the cell.
+    Row 0 of ``seller`` and ``price`` is each job's first offer, row 1 its
+    first from another seller (-1 if none; see ``offer``). A cell ``wants``
+    to buy when it has demand and an offer priced strictly below its
+    break-even, and then costs ``total``, the per-cell loop's price x units.
     """
 
     def __init__(self, config: EconomyConfig, offers: tuple[Offer, ...]):
         self.config, self.offers = config, offers
-        row = config._row  # the config's own map: read it, never change it
+        row, col = config._row, config._col  # the config's own maps: read them only
         costs, units = config.costs, config.units
-        listed: dict[str, list[Offer]] = {}
+        self.seller, self.price = np.full((2, costs.shape[1]), -1), np.zeros((2, costs.shape[1]))
         for off in offers:
-            listed.setdefault(off.job, []).append(off)
-        self.seller = np.full(costs.shape, -1)
-        self.price = np.zeros(costs.shape)
-        for c, jid in enumerate(config.job_ids()):
-            if jid not in listed:
-                continue
-            first = listed[jid][0]
-            own = row[first.seller]
-            self.seller[:, c], self.price[:, c] = own, first.price
-            other = next((o for o in listed[jid] if o.seller != first.seller), None)
-            if other is not None:
-                self.seller[own, c], self.price[own, c] = row[other.seller], other.price
-            else:
-                self.seller[own, c] = -1
-        below = self.price < config.conversion * costs
-        self.wants = (self.seller >= 0) & (units > 0) & below
-        self.total = np.zeros_like(units)
-        np.multiply(self.price, units, out=self.total, where=self.wants)
+            if off.seller not in row or off.job not in col:
+                raise ValueError(f"{off!r} names a player or job the config does not have")
+            s, c = row[off.seller], col[off.job]
+            k = 0 if self.seller[0, c] < 0 else 1
+            if self.seller[k, c] < 0 and s != self.seller[0, c]:
+                self.seller[k, c], self.price[k, c] = s, off.price
+        # Each cell's offer, as temporaries: a full-table offer() peaks higher.
+        own = np.arange(len(costs))[:, None] == self.seller[0]
+        seller = np.where(own, self.seller[1], self.seller[0])
+        price = np.where(own, self.price[1], self.price[0])
+        self.wants = (seller >= 0) & (units > 0) & (price < config.conversion * costs)
+        self.total = np.multiply(price, units, out=np.zeros_like(units), where=self.wants)
         # The rows that can earn in a round, at most two per job. Offers
         # priced below zero make earnings negative; then every seller is
         # decided in row order (see decide).
-        self.sellers = np.flatnonzero(np.bincount(self.seller[self.wants]))
+        self.sellers = np.flatnonzero(np.bincount(seller[self.wants]))
         self.earn_only = not (self.total < 0).any()
         self.last: _Outcome | None = None
+
+    def offer(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each flat cell's seller row and price: its job's first offer or,
+        in the row of that offer's own seller, the other."""
+        rows, cols = np.divmod(cells, self.seller.shape[1])
+        at = cols + self.seller.shape[1] * (rows == self.seller[0].take(cols))
+        return self.seller.take(at), self.price.take(at)
 
     def decide(self, money: np.ndarray) -> np.ndarray:
         """The cells that buy, given each player's balance as the round starts.
@@ -281,10 +280,10 @@ class _RoundPlan:
     def _payments(self, buy: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """The players and amounts of ``_transfer(buy, money, lo, hi)``, in order."""
         cells = np.flatnonzero(buy[lo:hi]) + lo * buy.shape[1]
-        paid = self.total.ravel()[cells]
+        paid, seller = self.total.ravel()[cells], self.offer(cells)[0]
         at = np.empty(2 * len(cells), dtype=cells.dtype)
         amounts = np.empty(2 * len(cells))
-        at[0::2], at[1::2] = cells // buy.shape[1], self.seller.ravel()[cells]
+        at[0::2], at[1::2] = cells // buy.shape[1], seller
         amounts[0::2], amounts[1::2] = -paid, paid
         return at, amounts
 
@@ -311,7 +310,7 @@ class _RoundPlan:
         demanded = np.flatnonzero(units > 0)
         b = buy.ravel()[demanded]
         bought, made = demanded[b], demanded[~b]
-        seller, price = self.seller.ravel()[bought], self.price.ravel()[bought]
+        seller, price = self.offer(bought)
         paid, own_cost = self.total.ravel()[bought], costs[bought]
         seller_cost = config.costs[seller, bought % n_jobs]
         buyer_saved = units[bought] * (own_cost - price / config.conversion)
@@ -382,9 +381,10 @@ def execute_round(
     Pass ``offers`` in the order post_offers returns them: per job, a buyer
     takes the first offer from another player in the order given, buys on a
     strict money improvement, and falls back to self-production otherwise.
-    A buyer who cannot afford the purchase self-produces and is flagged.
-    The round draws no randomness. With record_detail=False only the
-    ledger totals are kept (trade/self-production lists stay empty).
+    A buyer who cannot afford the purchase self-produces and is flagged. An
+    offer naming a player or job not in ``config`` raises ValueError before
+    any ledger moves. The round draws no randomness. With record_detail=False
+    only the ledger totals are kept (trade/self-production lists stay empty).
 
     The round is decided in arrays (see ``_RoundPlan.decide``) and gives
     the ledgers, records and totals of a loop over the cells, buyer by

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -499,6 +500,38 @@ def test_execute_round_matches_the_per_cell_loop(config, data, rounds, record_de
         o, pid = data.draw(st.sampled_from(priced))
         money[pid] = o.price * config.demand[pid, o.job]
     assert_rounds_match_the_oracle(config, offers, money, rounds, record_detail)
+
+
+@given(config=economies(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_each_cells_offer_is_the_first_for_its_job_from_another_player(config, data):
+    """The plan's two offers per job give every cell the offer the per-cell
+    loop takes: the first listed for the cell's job whose seller is another
+    player, or none (-1)."""
+    offers = data.draw(offer_lists(config))
+    plan = market._RoundPlan(config, tuple(offers))
+    ids, jobs = config.player_ids(), config.job_ids()
+    seller, price = plan.offer(np.arange(len(ids) * len(jobs)))
+    for cell, (s, p) in enumerate(zip(seller.tolist(), price.tolist())):
+        pid, jid = ids[cell // len(jobs)], jobs[cell % len(jobs)]
+        best = next((o for o in offers if o.job == jid and o.seller != pid), None)
+        if best is None:
+            assert s == -1
+        else:
+            assert (ids[s], p.hex()) == (best.seller, float(best.price).hex())
+
+
+@pytest.mark.parametrize(
+    "offer", [Offer("ghost", "x", 9.0), Offer("P1", "ghost", 9.0)], ids=["player", "job"]
+)
+def test_an_offer_from_outside_the_config_is_refused_before_any_ledger_moves(golden, offer):
+    """An offer whose seller or job the config does not have raises a
+    ValueError naming it, and leaves the state as it was."""
+    state = MarketState.from_config(golden)
+    before = ledgers_hex(state)
+    with pytest.raises(ValueError, match=re.escape(repr(offer))):
+        execute_round(golden, state, [*post_offers(golden), offer])
+    assert ledgers_hex(state) == before and state.round == 0
 
 
 def test_reused_detail_then_a_binding_budget(golden):

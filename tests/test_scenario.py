@@ -37,11 +37,9 @@ from tests.oracles import run_scenario_by_cell
 from tests.test_market import recorded_batches
 
 DATA = Path(__file__).parent / "data"
+WORKLOADS = Path(__file__).parents[1] / "bench" / "workloads"
 GOLDEN = yaml.safe_load((DATA / "golden.yaml").read_text())
-SCENARIO_FILES = [
-    *sorted(DATA.glob("*.yaml")),
-    *sorted((Path(__file__).parents[1] / "bench" / "workloads").glob("*.yaml")),
-]
+SCENARIO_FILES = [*sorted(DATA.glob("*.yaml")), *sorted(WORKLOADS.glob("*.yaml"))]
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
 BAD_YAML = {
     "unclosed-bracket": b"jobs: [unclosed\n",
@@ -559,6 +557,29 @@ def test_a_scalar_demand_and_its_check_variants_store_no_cells(monkeypatch):
         tracemalloc.stop()
     assert len(variants) == 2
     assert peak < 6 * 2**20
+
+
+def test_the_round_plan_keeps_no_seller_or_price_per_cell():
+    """At wide_offers' 2,000 x 20, the plan retains at most 12 bytes a cell,
+    ``wants`` (1) and ``total`` (8), where a seller and a price per cell
+    retained 25.0; building it peaks at most at the 30 bytes a cell that
+    those tables peaked at, which building the cells' offers by one
+    full-table ``offer`` call would exceed."""
+    sc = load_config(WORKLOADS / "wide_offers.yaml")
+    sc = dataclasses.replace(sc, population=dataclasses.replace(sc.population, count=2000))
+    config = build_economy(sc)
+    offers = tuple(market.post_offers(config))
+    market._RoundPlan(config, offers)  # warm-up, so that one-off caches do not count
+    tracemalloc.start()
+    try:
+        plan = market._RoundPlan(config, offers)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = config.costs.size
+    assert cells == 40_000 and plan.wants.size == plan.total.size == cells
+    assert retained <= 12 * cells
+    assert peak <= 30 * cells
 
 
 @given(sc=small_scenarios(), units=st.integers(0, 3))
