@@ -30,10 +30,12 @@ def export_csv(rows: Iterable[str], header: Sequence[str], path: str | Path) -> 
     return path
 
 
-def _open(path: Path, header: Sequence[str]) -> TextIO:
-    """A new CSV file, UTF-8 with LF endings, holding its header line."""
+def _open(path: Path, header: Sequence[str] | None) -> TextIO:
+    """A new CSV file, UTF-8 with LF endings, holding its header line; with
+    no header, its writer writes one later."""
     fh = open(path, "w", encoding="utf-8", newline="\n")
-    fh.write(",".join(header) + "\n")
+    if header is not None:
+        fh.write(",".join(header) + "\n")
     return fh
 
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from camsim import EconomyConfig, JobSpec, Player
@@ -28,3 +30,21 @@ def golden_config(price_quantum: float = 1.0) -> EconomyConfig:
 @pytest.fixture
 def golden():
     return golden_config()
+
+
+@pytest.fixture(autouse=True)
+def _no_child_outlives_the_test():
+    """Fail a test that leaves a child process unreaped, running or not,
+    such as a wealth.csv writer that run_scenario did not wait for. A forked
+    child that returns into the test exits here, before it can run the rest
+    of the session."""
+    pid = os.getpid()
+    yield
+    if os.getpid() != pid:
+        os._exit(70)
+    if hasattr(os, "WNOHANG"):
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        pytest.fail(f"a child process outlived the test ({'running' if pid == 0 else 'exited'})")

@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import hashlib
 import re
 import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
@@ -32,7 +34,7 @@ from camsim.config import (
 from camsim.csvtext import HEADERS, OUTPUT_KINDS, export_csv
 from camsim.pricing import break_even_atoms
 from camsim.scenario import artifact_digests
-from camsim.walk import WalkParams
+from camsim.walk import WalkParams, derive_trace_seed
 from tests.oracles import run_scenario_by_cell
 from tests.test_market import recorded_batches
 
@@ -256,6 +258,32 @@ def test_generated_population_round_trip(tmp_path):
     again = build_economy(sc)
     assert again.players == economy.players
     assert again.efficiencies.tobytes() == economy.efficiencies.tobytes()
+
+
+# A short SHA-256 of each numpy stream camsim draws from: each efficiency
+# distribution's draw of 100 players x 2 jobs, from these parameters, and
+# walk trace 0's normals. numpy does not promise that a Generator's streams
+# stay the same across its versions (NEP 19); if one changes, this fails
+# once, by the stream's name, where every bench digest would change.
+STREAMS = {
+    "uniform": ("{low: 0.5, high: 2.0}", "f42e02120b527527"),
+    "log-normal": ("{mu: 0.0, sigma: 0.5}", "e1e5a568f3b4648a"),
+    "pareto": ("{alpha: 3.0, minimum: 0.5}", "b34e53f68a436394"),
+    "walk-normal": (None, "29442b11ebac5525"),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_numpy_streams_draw_what_they_drew(stream):
+    params, digest = STREAMS[stream]
+    if params is None:
+        seed = np.random.SeedSequence(derive_trace_seed(42, 0))
+        drawn = np.random.default_rng(seed).standard_normal(1000)
+    else:
+        population = f"{{count: 100, efficiency_distribution: {stream}, params: {params}}}"
+        drawn = build_economy(parse_mapping(golden_with(f"population: {population}\n")))
+        drawn = drawn.efficiencies
+    assert hashlib.sha256(np.ascontiguousarray(drawn).tobytes()).hexdigest()[:16] == digest
 
 
 def test_run_scenario_matches_fixtures(tmp_path):
